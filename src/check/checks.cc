@@ -116,26 +116,6 @@ class Runner
         return std::move(report_);
     }
 
-    /** Per-function subset: verify + lint of one function only. */
-    CheckReport
-    runSingle(ir::FuncId func)
-    {
-        const ir::Function& f = module_.func(func);
-        if (opts_.verify) {
-            auto problems = ir::verifyFunction(module_, f);
-            broken_[func] = !problems.empty();
-            for (const std::string& p : problems) {
-                Diagnostic& d =
-                    emit("verify.function", Severity::kError, p);
-                d.func = func;
-                d.func_name = f.name;
-            }
-        }
-        if (opts_.lint && !f.isDeclaration() && analyzable(func))
-            lintFunction(f);
-        return std::move(report_);
-    }
-
   private:
     // --- emission helpers -------------------------------------------
 
@@ -999,19 +979,6 @@ runChecksParallel(const ir::Module& module, const CheckOptions& opts,
                      std::make_move_iterator(tail_rep.diags.end()));
     out.group_ms.emplace_back("module.serial", msSince(t2));
     return out;
-}
-
-CheckReport
-runFunctionChecks(const ir::Module& module, ir::FuncId func,
-                  const CheckOptions& opts, AnalysisManager* am)
-{
-    if (am) {
-        PIBE_ASSERT(&am->module() == &module,
-                    "AnalysisManager wraps a different module");
-        return Runner(module, opts, *am).runSingle(func);
-    }
-    AnalysisManager local(module);
-    return Runner(module, opts, local).runSingle(func);
 }
 
 std::optional<Severity>

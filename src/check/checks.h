@@ -145,18 +145,6 @@ CheckReport runChecksParallel(const ir::Module& module,
                               size_t shard_size = 64,
                               AnalysisManager* am = nullptr);
 
-/**
- * Run the per-function checker groups (verify + lint) for a single
- * function. Module-wide obligations — site-id uniqueness, coverage
- * reconciliation, profile flow — are deliberately not covered; they
- * need the whole module and stay with runChecks(). This is the
- * building block the parallel pipeline fans out over functions, with
- * one private AnalysisManager per worker.
- */
-CheckReport runFunctionChecks(const ir::Module& module, ir::FuncId func,
-                              const CheckOptions& opts,
-                              AnalysisManager* am = nullptr);
-
 /** Report plus the pass/fail verdict of one policy-gated run. */
 struct CheckOutcome
 {

@@ -35,7 +35,7 @@
  * Incompleteness is sticky and propagates along the same edges as
  * target sets. The analysis is a least fixpoint of a monotone
  * constraint system, so the solution is independent of solve order —
- * serial and parallel pipeline runs see bit-identical sets.
+ * serial and parallel audits see bit-identical sets.
  *
  * The analysis is incremental at summary granularity: constraints are
  * extracted per function and cached; invalidateFunction(f) marks one
@@ -176,7 +176,7 @@ class TargetSetAnalysis
      * next invalidateFunction/invalidateAll/setSolverMode call — the
      * query methods (sites, site, regTargets, addressTaken,
      * badGlobalSlots) only read solved state and are safe to call
-     * from multiple threads concurrently (the parallel sandwich
+     * from multiple threads concurrently (runChecksParallel
      * pre-solves serially, then shares one instance across shards).
      */
     void ensureSolved() { sites(); }

@@ -179,17 +179,6 @@ applyDefenses(ir::Module& module, const DefenseConfig& config,
     return final_report;
 }
 
-bool
-applyDefensesToFunction(ir::Module& module, ir::FuncId func,
-                        const DefenseConfig& config)
-{
-    if (!config.any())
-        return false;
-    bool changed = false;
-    hardenOneFunction(module.func(func), config, &changed);
-    return changed;
-}
-
 CoverageReport
 analyzeCoverage(const ir::Module& module)
 {

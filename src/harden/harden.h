@@ -115,17 +115,6 @@ CoverageReport applyDefenses(ir::Module& module,
                              const DefenseConfig& config,
                              std::vector<ir::FuncId>* touched = nullptr);
 
-/**
- * Apply `config` to the indirect branches of one function: lower its
- * jump tables and tag its kICall/kRet sites. Only `func` is mutated,
- * so distinct functions may be hardened concurrently; the result is
- * independent of function order, and running it over every function
- * equals applyDefenses(). Returns true if the function changed.
- * No-op (returns false) when no defense is enabled.
- */
-bool applyDefensesToFunction(ir::Module& module, ir::FuncId func,
-                             const DefenseConfig& config);
-
 /** Recompute coverage of an already-hardened module. */
 CoverageReport analyzeCoverage(const ir::Module& module);
 

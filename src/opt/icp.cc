@@ -17,6 +17,39 @@ struct PromotionCandidate
     uint64_t count = 0;
 };
 
+/** One site's planned rewrite. */
+struct SitePlan
+{
+    ir::SiteId site = ir::kNoSite;
+    ir::FuncId func = ir::kInvalidFunc; ///< Owning function.
+    /** Promoted targets, hottest first. */
+    std::vector<ir::FuncId> targets;
+    /** Pre-assigned direct-call site ids, aligned with `targets`. */
+    std::vector<ir::SiteId> direct_sites;
+    /** Emit the last target as an unguarded direct call and drop the
+     *  fallback icall (total promotion of a complete, small, fully
+     *  covered feasible set — the Switchpoline precondition). */
+    bool drop_fallback = false;
+    /** Set by applyPlan when the rewrite landed. */
+    bool applied = false;
+};
+
+/**
+ * A full promotion plan over one module. Promotion runs in three
+ * phases: planning is read-only, every fresh direct-call SiteId is
+ * assigned at plan time in (site, target-rank) order, and profile
+ * weight moves once, in site order, after the rewrites.
+ */
+struct Plan
+{
+    /** Site plans in ascending site order (the profile-update order). */
+    std::vector<SitePlan> sites;
+    /** Exclusive upper bound of the assigned site ids. */
+    ir::SiteId site_id_bound = 0;
+    /** Audit with the candidate/total fields filled in. */
+    IcpAudit audit;
+};
+
 /**
  * Locate the kICall instruction carrying `site` within one function.
  * (Scanning only the owning function instead of the whole module is
@@ -46,8 +79,7 @@ findICall(ir::Function& f, ir::SiteId site, ir::BlockId* block,
  * Rewrite one indirect call site into a chain of guarded direct calls
  * (hottest target first) with the original indirect call as fallback.
  * The direct calls take their pre-assigned ids from `direct_sites`
- * (aligned with `targets`); no allocator access, so rewrites of
- * distinct functions are safe to run concurrently.
+ * (aligned with `targets`).
  *
  * With `drop_fallback` (total promotion: the target set is complete
  * and fully covered) the last target is emitted as an unguarded direct
@@ -166,13 +198,13 @@ promoteSite(ir::Function& f, ir::BlockId bb_id, uint32_t idx,
     }
 }
 
-} // namespace
-
-IcpPlan
-planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
-        const IcpConfig& config)
+/** Select promotions and assign their direct-call site ids. */
+Plan
+planPromotions(const ir::Module& module,
+               const profile::EdgeProfile& profile,
+               const IcpConfig& config)
 {
-    IcpPlan plan;
+    Plan plan;
     IcpAudit& audit = plan.audit;
     plan.site_id_bound = module.siteIdBound();
 
@@ -260,7 +292,7 @@ planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
     // Pre-assign direct-call site ids in (site, target-rank) order —
     // exactly the order a serial allocSiteId() walk would produce.
     for (auto& [site, list] : chosen) {
-        IcpSitePlan sp;
+        SitePlan sp;
         sp.site = site;
         sp.func = site_owner[site];
         for (const auto& c : list) {
@@ -306,7 +338,6 @@ planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
                 }
             }
             if (safe) {
-                sp.total_promotion_safe = true;
                 ++audit.total_safe_sites;
                 // A per-site cap wins over total promotion: never
                 // expand a site beyond what the cap allows.
@@ -327,26 +358,22 @@ planIcp(const ir::Module& module, const profile::EdgeProfile& profile,
             }
         }
 
-        plan.by_func[sp.func].push_back(plan.sites.size());
         plan.sites.push_back(std::move(sp));
     }
     return plan;
 }
 
+/** Rewrite every planned site, in site order. */
 void
-applyIcpFunction(ir::Module& module, ir::FuncId func, IcpPlan& plan)
+applyPlan(ir::Module& module, Plan& plan)
 {
-    auto it = plan.by_func.find(func);
-    if (it == plan.by_func.end())
-        return;
-    ir::Function& f = module.func(func);
-    for (size_t idx : it->second) {
-        IcpSitePlan& sp = plan.sites[idx];
+    for (SitePlan& sp : plan.sites) {
+        ir::Function& f = module.func(sp.func);
         ir::BlockId block;
         uint32_t index;
         // Earlier rewrites in this function move trailing sites into
         // continuation blocks, so each site is re-located just-in-time
-        // (within this function only).
+        // (within its function only).
         if (!findICall(f, sp.site, &block, &index))
             continue;
         promoteSite(f, block, index, sp.targets, sp.direct_sites,
@@ -355,11 +382,15 @@ applyIcpFunction(ir::Module& module, ir::FuncId func, IcpPlan& plan)
     }
 }
 
+/**
+ * Move promoted weight from the indirect to the direct profile in site
+ * order and complete the audit (promoted_* counters, touched set).
+ */
 IcpAudit
-finalizeIcp(IcpPlan& plan, profile::EdgeProfile& profile)
+finalizePlan(Plan& plan, profile::EdgeProfile& profile)
 {
     IcpAudit& audit = plan.audit;
-    for (IcpSitePlan& sp : plan.sites) {
+    for (const SitePlan& sp : plan.sites) {
         if (!sp.applied)
             continue;
         ++audit.promoted_sites;
@@ -378,7 +409,7 @@ finalizeIcp(IcpPlan& plan, profile::EdgeProfile& profile)
             // leftover (zero-count) value-profile entries so the
             // profile-flow checker sees no dangling site. All live
             // weight was consumed above (profiled ⊆ feasible is a
-            // total_promotion_safe precondition).
+            // precondition of total promotion).
             auto it = profile.indirectSites().find(sp.site);
             if (it != profile.indirectSites().end()) {
                 std::vector<ir::FuncId> rest;
@@ -397,15 +428,16 @@ finalizeIcp(IcpPlan& plan, profile::EdgeProfile& profile)
     return audit;
 }
 
+} // namespace
+
 IcpAudit
 runIcp(ir::Module& module, profile::EdgeProfile& profile,
        const IcpConfig& config)
 {
-    IcpPlan plan = planIcp(module, profile, config);
-    for (const auto& [func, indices] : plan.by_func)
-        applyIcpFunction(module, func, plan);
+    Plan plan = planPromotions(module, profile, config);
+    applyPlan(module, plan);
     module.reserveSiteIds(plan.site_id_bound);
-    return finalizeIcp(plan, profile);
+    return finalizePlan(plan, profile);
 }
 
 } // namespace pibe::opt

@@ -53,9 +53,9 @@ struct IcpConfig
     uint32_t max_targets_per_site = 0;
     /**
      * Optional static target-set feasibility. When present, sites
-     * whose set is complete, non-empty, and small are flagged
-     * `total_promotion_safe` in the plan (the Switchpoline
-     * precondition). Not owned; must outlive the pass.
+     * whose set is complete, non-empty, and small are counted in
+     * IcpAudit::total_safe_sites (the Switchpoline precondition).
+     * Not owned; must outlive the pass.
      */
     const FeasibilityMap* feasibility = nullptr;
     /**
@@ -67,7 +67,7 @@ struct IcpConfig
      * fallback.
      */
     bool total_promotion = false;
-    /** Feasible-set size bound for total_promotion_safe. */
+    /** Feasible-set size bound for total promotion. */
     uint32_t total_promotion_max_targets = 8;
 };
 
@@ -92,7 +92,7 @@ struct IcpAudit
      *  fallback icall keeps live targets (residual attack surface the
      *  coverage report must count). */
     uint32_t capped_sites = 0;
-    /** Sites flagged total_promotion_safe (complete feasible set of
+    /** Sites safe for total promotion (complete feasible set of
      *  1..total_promotion_max_targets covered targets). */
     uint32_t total_safe_sites = 0;
     /** Fallback icalls actually dropped by total promotion. */
@@ -105,69 +105,6 @@ struct IcpAudit
 /** Run indirect call promotion over `module`, updating `profile`. */
 IcpAudit runIcp(ir::Module& module, profile::EdgeProfile& profile,
                 const IcpConfig& config = {});
-
-// --- plan / apply / finalize split ----------------------------------
-//
-// The same promotion decomposed into three phases so the parallel
-// pipeline can fan the rewrites out per function while staying
-// bit-identical to runIcp(): planning is read-only and deterministic,
-// every fresh direct-call SiteId is pre-assigned at plan time (no
-// allocator contention), application touches exactly one function, and
-// profile movement happens once, serially, in site order.
-
-/** One site's planned rewrite. */
-struct IcpSitePlan
-{
-    ir::SiteId site = ir::kNoSite;
-    ir::FuncId func = ir::kInvalidFunc; ///< Owning function.
-    /** Promoted targets, hottest first. */
-    std::vector<ir::FuncId> targets;
-    /** Pre-assigned direct-call site ids, aligned with `targets`. */
-    std::vector<ir::SiteId> direct_sites;
-    /** The site's feasible set is complete, small, and entirely
-     *  covered by `targets` (Switchpoline precondition). */
-    bool total_promotion_safe = false;
-    /** Emit the last target as an unguarded direct call and drop the
-     *  fallback icall (only set when total_promotion_safe and total
-     *  promotion is enabled). */
-    bool drop_fallback = false;
-    /** Set by applyIcpFunction when the rewrite landed. */
-    bool applied = false;
-};
-
-/** A full promotion plan over one module. */
-struct IcpPlan
-{
-    /** Site plans in ascending site order (the profile-update order). */
-    std::vector<IcpSitePlan> sites;
-    /** Indices into `sites` per owning function. */
-    std::map<ir::FuncId, std::vector<size_t>> by_func;
-    /** Exclusive upper bound of pre-assigned site ids; the caller must
-     *  module.reserveSiteIds(site_id_bound) before further allocation. */
-    ir::SiteId site_id_bound = 0;
-    /** Audit with the candidate/total fields filled in. */
-    IcpAudit audit;
-};
-
-/** Phase 1 (read-only): select promotions and pre-assign site ids. */
-IcpPlan planIcp(const ir::Module& module,
-                const profile::EdgeProfile& profile,
-                const IcpConfig& config = {});
-
-/**
- * Phase 2: apply every planned rewrite owned by `func`. Mutates only
- * that function (plus the plan's own `applied` flags), so distinct
- * functions may be applied concurrently.
- */
-void applyIcpFunction(ir::Module& module, ir::FuncId func,
-                      IcpPlan& plan);
-
-/**
- * Phase 3 (serial): move promoted weight from the indirect to the
- * direct profile in site order and complete the audit (promoted_*
- * counters, touched set). Returns the finished audit.
- */
-IcpAudit finalizeIcp(IcpPlan& plan, profile::EdgeProfile& profile);
 
 } // namespace pibe::opt
 

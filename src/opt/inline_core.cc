@@ -38,12 +38,8 @@ inlineRefusalReason(const ir::Module& module, ir::FuncId caller,
     return nullptr;
 }
 
-namespace {
-
-/** Shared implementation; `fixed_id` non-null = pre-assigned ids. */
 InlineOutcome
-inlineImpl(ir::Module& module, ir::FuncId caller, ir::SiteId site,
-           ir::SiteId* fixed_id)
+inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
 {
     InlineOutcome outcome;
     ir::Function& caller_f = module.func(caller);
@@ -126,8 +122,7 @@ inlineImpl(ir::Module& module, ir::FuncId caller, ir::SiteId site,
               case ir::Opcode::kCall:
               case ir::Opcode::kICall: {
                 const bool indirect = inst.op == ir::Opcode::kICall;
-                ir::SiteId fresh =
-                    fixed_id ? (*fixed_id)++ : module.allocSiteId();
+                const ir::SiteId fresh = module.allocSiteId();
                 outcome.inherited.push_back(
                     {fresh, inst.site_id, indirect,
                      indirect ? ir::kInvalidFunc : inst.callee});
@@ -185,21 +180,6 @@ inlineImpl(ir::Module& module, ir::FuncId caller, ir::SiteId site,
 
     outcome.ok = true;
     return outcome;
-}
-
-} // namespace
-
-InlineOutcome
-inlineCallSite(ir::Module& module, ir::FuncId caller, ir::SiteId site)
-{
-    return inlineImpl(module, caller, site, nullptr);
-}
-
-InlineOutcome
-inlineCallSiteWithIds(ir::Module& module, ir::FuncId caller,
-                      ir::SiteId site, ir::SiteId id_base)
-{
-    return inlineImpl(module, caller, site, &id_base);
 }
 
 } // namespace pibe::opt

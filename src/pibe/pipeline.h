@@ -16,6 +16,8 @@
 #ifndef PIBE_PIBE_PIPELINE_H_
 #define PIBE_PIBE_PIPELINE_H_
 
+#include <string>
+
 #include "check/diagnostic.h"
 #include "harden/harden.h"
 #include "ir/module.h"
@@ -145,6 +147,14 @@ ir::Module buildImage(const ir::Module& linked,
                       const OptConfig& opt,
                       const harden::DefenseConfig& defenses,
                       BuildReport* report = nullptr);
+
+/**
+ * Content digest of a module (32 hex chars): every function header,
+ * instruction operand, global, and the site-id bound, streamed through
+ * runtime::Digest in one walk — O(1) extra memory. Two modules with
+ * equal digests are structurally identical for all pipeline purposes.
+ */
+std::string moduleDigest(const ir::Module& module);
 
 } // namespace pibe::core
 

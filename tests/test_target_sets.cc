@@ -5,8 +5,8 @@
  * taint, globals, call arg/ret), completeness semantics, the
  * incremental invalidation contract, the verify.targets /
  * coverage.targets checkers (including the seeded out-of-set-promotion
- * bug they must catch), the surface report, and serial-vs-parallel
- * bit-identity on a genkernel-scale module.
+ * bug they must catch), the surface report, and a clean audit of a
+ * genkernel-scale image at every pool size.
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +17,8 @@
 #include "check/target_sets.h"
 #include "ir/builder.h"
 #include "opt/icp.h"
-#include "scale/parallel_pipeline.h"
+#include "pibe/pipeline.h"
+#include "runtime/thread_pool.h"
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
 #include "tests/test_util.h"
@@ -438,9 +439,10 @@ TEST(TargetSets, SurfaceReportCountsAndAir)
 
 // genkernel smoke: a 10^5-instruction synthetic kernel's op-table
 // discipline must give every site a complete feasible set, and
-// verify.targets must be clean — including through the parallel
-// pipeline, bit-identically for any worker count.
-TEST(TargetSets, GenkernelSmokeCompleteAndParallelIdentical)
+// verify.targets must be clean. The core::buildImage image with total
+// promotion on must then audit clean through runChecksParallel, with
+// byte-identical sorted diagnostics at pool sizes 1 and 4.
+TEST(TargetSets, GenkernelImageAuditsCleanAtEveryPoolSize)
 {
     scale::ScaleConfig cfg;
     cfg.target_insts = 100000;
@@ -461,25 +463,35 @@ TEST(TargetSets, GenkernelSmokeCompleteAndParallelIdentical)
     EXPECT_TRUE(withId(report, "verify.targets").empty());
 
     profile::EdgeProfile prof = scale::synthesizeProfile(m);
-    scale::ParallelPipelineConfig pcfg;
-    pcfg.icp.total_promotion = true;
-    pcfg.defenses = harden::DefenseConfig::all();
+    core::OptConfig opt;
+    opt.icp_total_promotion = true;
+    opt.sandwich = false;
+    core::BuildReport rep;
+    const Module image = core::buildImage(
+        m, prof, opt, harden::DefenseConfig::all(), &rep);
+    EXPECT_GT(rep.icp.promoted_sites, 0u);
+    EXPECT_GT(rep.icp.fallbacks_dropped, 0u);
+    EXPECT_GT(rep.inlining.inlined_sites, 0u);
+    EXPECT_GT(rep.coverage.protected_icalls, 0u);
+    EXPECT_GT(rep.coverage.protected_rets, 0u);
+    EXPECT_GT(rep.image_size, rep.baseline_image_size);
 
-    pcfg.jobs = 1;
-    scale::ParallelPipelineReport r1;
-    Module img1 = scale::buildImageParallel(m, prof, pcfg, &r1);
-    pcfg.jobs = 4;
-    scale::ParallelPipelineReport r4;
-    Module img4 = scale::buildImageParallel(m, prof, pcfg, &r4);
-
-    EXPECT_EQ(scale::moduleDigest(img1), scale::moduleDigest(img4));
-    EXPECT_EQ(r1.icp.fallbacks_dropped, r4.icp.fallbacks_dropped);
-    EXPECT_EQ(check::renderText(r1.checks.diags),
-              check::renderText(r4.checks.diags))
-        << "sorted diagnostics must not depend on worker count";
-    EXPECT_EQ(check::countSeverity(r1.checks.diags,
-                                   check::Severity::kError),
-              0u);
+    check::CheckOptions copts;
+    copts.coverage = true;
+    copts.targets = true;
+    copts.defense = harden::DefenseConfig::all();
+    std::vector<std::string> rendered;
+    for (size_t workers : {1u, 4u}) {
+        runtime::ThreadPool pool(workers);
+        check::CheckReport audit =
+            check::runChecksParallel(image, copts, pool);
+        EXPECT_EQ(audit.errors(), 0u)
+            << check::renderText(audit.diags);
+        check::sortDiagnostics(audit.diags);
+        rendered.push_back(check::renderText(audit.diags));
+    }
+    EXPECT_EQ(rendered[0], rendered[1])
+        << "sorted diagnostics must not depend on the pool size";
 }
 
 // --- fast solver vs reference oracle --------------------------------

@@ -12,14 +12,15 @@
 # committed at the repo root.
 #
 # --scale gates BENCH_scale.json artifacts (written by
-# `pibe scalebench`): the serial pipeline build time of the
+# `pibe scalebench`): the serial build-and-audit time of the
 # 10^5-instruction module must not exceed the baseline's by more than
 # the margin (PIBE_SCALE_MARGIN, default 1.5 — wall-clock on a shared
 # or cross-machine runner is far noisier than the interpreter's
 # peak-window throughput, so this is a coarse guard against
 # order-of-magnitude blow-ups; tighten the margin locally when
 # comparing against a baseline regenerated on the same idle box), and
-# every serial-vs-parallel digest comparison must have matched.
+# every serial-vs-parallel comparison (image digest and sorted
+# diagnostics) must have matched.
 #
 # The 10% margin absorbs run-to-run noise on shared CI runners (the
 # interpreter benchmark already reports a peak window, which removes
@@ -56,7 +57,8 @@ def row_at(doc, insts):
 new_doc, base_doc = load(new_path), load(base_path)
 
 if not new_doc.get("all_digests_match", False):
-    print("FAIL: serial vs parallel image digests diverged",
+    print("FAIL: serial vs parallel image digests or diagnostics "
+          "diverged",
           file=sys.stderr)
     sys.exit(1)
 

@@ -43,9 +43,15 @@
  *                 [--icalls-per-kinst F] [--ops-per-table N]
  *                 [--entry-points N] [--mix core,fs,net,drivers]
  *   pibe scalebench [--sizes N,N,...] [--seed S] [--jobs N]
- *                 [--out BENCH_scale.json] [--stage-profile]
- *                 [--serial-below N]
+ *                 [--out BENCH_scale.json]
  *   pibe selftest            (end-to-end smoke of all subcommands)
+ *
+ * scalebench runs core::buildImage plus one check::runChecksParallel
+ * audit per generated module, on one worker and on --jobs N workers,
+ * and records both timings with an in-run calibration probe.
+ *
+ * A malformed numeric option value exits 2 (usage error); fatal
+ * errors exit 1.
  */
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -60,9 +66,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,9 +87,9 @@
 #include "pibe/pipeline.h"
 #include "profile/serialize.h"
 #include "runtime/artifact_cache.h"
+#include "runtime/digest.h"
 #include "runtime/job_graph.h"
 #include "runtime/thread_pool.h"
-#include "scale/parallel_pipeline.h"
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
 #include "serve/client.h"
@@ -95,6 +103,51 @@
 
 namespace pibe::cli {
 namespace {
+
+/**
+ * Numeric option values: the whole text must parse. A malformed or
+ * out-of-range value throws std::invalid_argument / std::out_of_range
+ * naming the flag and the text; run() reports either as a usage error
+ * (exit 2).
+ */
+uint64_t
+parseUnsigned(const std::string& flag, const std::string& text)
+{
+    size_t end = 0;
+    uint64_t v = 0;
+    try {
+        v = std::stoull(text, &end);
+    } catch (const std::out_of_range&) {
+        throw std::out_of_range(flag + " value '" + text +
+                                "' is out of range");
+    } catch (const std::invalid_argument&) {
+        // `end` stays 0: reported below.
+    }
+    if (end == 0 || end != text.size() ||
+        text.find('-') != std::string::npos)
+        throw std::invalid_argument(flag + " value '" + text +
+                                    "' is not an unsigned integer");
+    return v;
+}
+
+double
+parseReal(const std::string& flag, const std::string& text)
+{
+    size_t end = 0;
+    double v = 0;
+    try {
+        v = std::stod(text, &end);
+    } catch (const std::out_of_range&) {
+        throw std::out_of_range(flag + " value '" + text +
+                                "' is out of range");
+    } catch (const std::invalid_argument&) {
+        // `end` stays 0: reported below.
+    }
+    if (end == 0 || end != text.size())
+        throw std::invalid_argument(flag + " value '" + text +
+                                    "' is not a number");
+    return v;
+}
 
 /** Minimal argv option scanner. */
 class Args
@@ -121,6 +174,18 @@ class Args
             }
         }
         return fallback;
+    }
+
+    uint64_t
+    getUnsigned(const std::string& flag, const std::string& fallback)
+    {
+        return parseUnsigned(flag, get(flag, fallback));
+    }
+
+    double
+    getReal(const std::string& flag, const std::string& fallback)
+    {
+        return parseReal(flag, get(flag, fallback));
     }
 
     bool
@@ -234,8 +299,8 @@ cmdKernel(Args& args)
 {
     kernel::KernelConfig cfg;
     cfg.num_drivers = static_cast<uint32_t>(
-        std::stoul(args.get("--drivers", "448")));
-    cfg.seed = std::stoull(args.get("--seed", "42"));
+        args.getUnsigned("--drivers", "448"));
+    cfg.seed = args.getUnsigned("--seed", "42");
     kernel::KernelImage k = kernel::buildKernel(cfg);
     std::string out = args.get("-o", "kernel.pir");
     writeFile(out, ir::printModule(k.module));
@@ -250,7 +315,7 @@ cmdProfile(Args& args)
     ir::Module m = loadModule(args.get("-m", "kernel.pir"));
     kernel::KernelInfo info = kernel::kernelInfoFromModule(m);
     uint32_t iters = static_cast<uint32_t>(
-        std::stoul(args.get("--iters", "120")));
+        args.getUnsigned("--iters", "120"));
     profile::EdgeProfile profile;
     if (args.has("--train")) {
         // The canonical scaled training profile — the exact profile
@@ -277,9 +342,8 @@ cmdOptimize(Args& args)
         profile::liftProfile(m, readFile(args.get("-p", "profile.txt")));
 
     core::OptConfig opt;
-    opt.icp_budget = std::stod(args.get("--icp-budget", "0.99999"));
-    opt.inline_budget =
-        std::stod(args.get("--inline-budget", "0.999999"));
+    opt.icp_budget = args.getReal("--icp-budget", "0.99999");
+    opt.inline_budget = args.getReal("--inline-budget", "0.999999");
     opt.lax_heuristics = args.has("--lax");
     std::string inliner = args.get("--inliner", "pibe");
     if (inliner == "pibe")
@@ -330,8 +394,7 @@ cmdMeasure(Args& args)
     kernel::KernelInfo info = kernel::kernelInfoFromModule(m);
     std::string test = args.get("--test", "all");
     std::string baseline_path = args.get("--baseline");
-    unsigned jobs = static_cast<unsigned>(
-        std::stoul(args.get("--jobs", "1")));
+    unsigned jobs = static_cast<unsigned>(args.getUnsigned("--jobs", "1"));
     std::string cache_dir = args.get("--cache-dir");
     const std::string decode_stats_json =
         args.get("--decode-stats-json");
@@ -724,7 +787,7 @@ cmdCheck(Args& args)
     opts.allowed_funcs = splitList(args.get("--allow-func"));
     for (const std::string& s : splitList(args.get("--allow-site")))
         opts.allowed_sites.push_back(
-            static_cast<ir::SiteId>(std::stoul(s)));
+            static_cast<ir::SiteId>(parseUnsigned("--allow-site", s)));
 
     const std::string fail_on = args.get("--fail-on", "error");
     std::optional<check::Severity> threshold =
@@ -734,7 +797,7 @@ cmdCheck(Args& args)
                    "' (expected note, warn, or error)");
 
     const size_t jobs =
-        std::max<size_t>(1, std::stoul(args.get("--jobs", "1")));
+        std::max<size_t>(1, args.getUnsigned("--jobs", "1"));
 
     // The shared policy gate: CLI, in-process engine callers, and the
     // serve daemon all decide pass/fail through runChecksWithPolicy,
@@ -849,7 +912,7 @@ cmdSurface(Args& args)
         PIBE_FATAL("unknown --fail-on '", fail_on,
                    "' (expected note, warn, or error)");
     const uint32_t max_targets = static_cast<uint32_t>(
-        std::stoul(args.get("--max-targets", "8")));
+        args.getUnsigned("--max-targets", "8"));
 
     // Share one AnalysisManager between the checkers and the report so
     // the points-to solve runs once.
@@ -878,17 +941,16 @@ int
 cmdGenkernel(Args& args)
 {
     scale::ScaleConfig cfg;
-    cfg.target_insts = std::stoull(args.get("--insts", "100000"));
-    cfg.seed = std::stoull(args.get("--seed", "42"));
+    cfg.target_insts = args.getUnsigned("--insts", "100000");
+    cfg.seed = args.getUnsigned("--seed", "42");
     cfg.depth =
-        static_cast<uint32_t>(std::stoul(args.get("--depth", "10")));
-    cfg.fanout = std::stod(args.get("--fanout", "2.5"));
-    cfg.icalls_per_kinst =
-        std::stod(args.get("--icalls-per-kinst", "7.0"));
+        static_cast<uint32_t>(args.getUnsigned("--depth", "10"));
+    cfg.fanout = args.getReal("--fanout", "2.5");
+    cfg.icalls_per_kinst = args.getReal("--icalls-per-kinst", "7.0");
     cfg.ops_per_table = static_cast<uint32_t>(
-        std::stoul(args.get("--ops-per-table", "7")));
+        args.getUnsigned("--ops-per-table", "7"));
     cfg.num_entry_points = static_cast<uint32_t>(
-        std::stoul(args.get("--entry-points", "32")));
+        args.getUnsigned("--entry-points", "32"));
     const std::string mix = args.get("--mix");
     if (!mix.empty()) {
         std::vector<std::string> parts = splitList(mix);
@@ -896,10 +958,10 @@ cmdGenkernel(Args& args)
             PIBE_FATAL("--mix wants four fractions "
                        "(core,fs,net,drivers), got '",
                        mix, "'");
-        cfg.frac_core = std::stod(parts[0]);
-        cfg.frac_fs = std::stod(parts[1]);
-        cfg.frac_net = std::stod(parts[2]);
-        cfg.frac_drivers = std::stod(parts[3]);
+        cfg.frac_core = parseReal("--mix", parts[0]);
+        cfg.frac_fs = parseReal("--mix", parts[1]);
+        cfg.frac_net = parseReal("--mix", parts[2]);
+        cfg.frac_drivers = parseReal("--mix", parts[3]);
     }
 
     scale::ScaleStats stats;
@@ -914,8 +976,8 @@ cmdGenkernel(Args& args)
     if (!prof_path.empty()) {
         scale::SyntheticProfileConfig pcfg;
         pcfg.seed = cfg.seed;
-        pcfg.root_invocations = std::stoull(
-            args.get("--root-invocations", "1048576"));
+        pcfg.root_invocations =
+            args.getUnsigned("--root-invocations", "1048576");
         profile::EdgeProfile prof = scale::synthesizeProfile(m, pcfg);
         writeFile(prof_path, profile::serializeProfile(m, prof));
     }
@@ -944,103 +1006,143 @@ cmdGenkernel(Args& args)
     return 0;
 }
 
-/** One StageTiming as a JSON object (for --stage-profile rows). */
-std::string
-stageTimingJson(const scale::StageTiming& t)
+using Clock = std::chrono::steady_clock;
+
+double
+msBetween(Clock::time_point a, Clock::time_point b)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"plan_ms\":%.1f,\"icp_ms\":%.1f,"
-                  "\"inline_ms\":%.1f,\"harden_ms\":%.1f,"
-                  "\"check_ms\":%.1f,\"total_ms\":%.1f,"
-                  "\"cpu_ms\":%.1f}",
-                  t.plan_ms, t.icp_ms, t.inline_ms, t.harden_ms,
-                  t.check_ms, t.total_ms, t.cpu_ms);
-    return buf;
+    return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/** One scalebench leg: the paper pipeline build plus one audit. */
+struct ScaleLeg
+{
+    uint32_t promoted_sites = 0;
+    uint32_t inlined_sites = 0;
+    uint64_t baseline_image_size = 0;
+    uint64_t image_size = 0;
+    check::CheckReport checks; ///< Sorted diagnostics.
+    std::string digest;        ///< core::moduleDigest of the image.
+    double build_ms = 0;       ///< core::buildImage, wall.
+    double check_ms = 0;       ///< check::runChecksParallel, wall.
+};
+
+/**
+ * Build the hardened image with core::buildImage (sandwich off — the
+ * audit runs once, at the end) and audit it with
+ * check::runChecksParallel on `pool`. The image and its transformed
+ * profile are freed before returning, so peak RSS reflects one image
+ * in flight.
+ */
+ScaleLeg
+runScaleLeg(const ir::Module& m, const profile::EdgeProfile& prof,
+            runtime::ThreadPool& pool)
+{
+    ScaleLeg leg;
+    core::OptConfig opt;
+    opt.sandwich = false;
+    core::BuildReport rep;
+    const Clock::time_point t0 = Clock::now();
+    const ir::Module image = core::buildImage(
+        m, prof, opt, harden::DefenseConfig::all(), &rep);
+    const Clock::time_point t1 = Clock::now();
+    check::CheckOptions copts;
+    copts.coverage = true;
+    copts.targets = true;
+    copts.defense = harden::DefenseConfig::all();
+    leg.checks = check::runChecksParallel(image, copts, pool);
+    const Clock::time_point t2 = Clock::now();
+    check::sortDiagnostics(leg.checks.diags);
+    leg.digest = core::moduleDigest(image);
+    leg.promoted_sites = rep.icp.promoted_sites;
+    leg.inlined_sites = rep.inlining.inlined_sites;
+    leg.baseline_image_size = rep.baseline_image_size;
+    leg.image_size = rep.image_size;
+    leg.build_ms = msBetween(t0, t1);
+    leg.check_ms = msBetween(t1, t2);
+    return leg;
+}
+
+/**
+ * Calibration probe: a fixed CPU-bound job (32M digest updates) run
+ * once on the calling thread, then once per worker on `pool` at the
+ * same time. Returns the lone job's wall time and the effective
+ * parallelism, total work over concurrent wall time — what the
+ * machine lent the parallel leg right now, so a speedup can be read
+ * against it.
+ */
+std::pair<double, double>
+calibrationProbe(runtime::ThreadPool& pool)
+{
+    auto job = [] {
+        runtime::Digest d;
+        for (uint64_t i = 0; i < 32000000; ++i)
+            d.add(i);
+        return d.hex();
+    };
+    Clock::time_point t0 = Clock::now();
+    volatile size_t sink = job().size();
+    const double one_ms = msBetween(t0, Clock::now());
+    std::vector<std::future<std::string>> futures;
+    t0 = Clock::now();
+    for (size_t i = 0; i < pool.size(); ++i)
+        futures.push_back(pool.submit(job));
+    for (auto& f : futures)
+        sink = f.get().size();
+    (void)sink;
+    const double all_ms = msBetween(t0, Clock::now());
+    return {one_ms, one_ms * static_cast<double>(pool.size()) / all_ms};
 }
 
 /**
  * One fork-isolated scalebench measurement: generate a module of
- * `insts` instructions, synthesize its profile, build the hardened
- * image serially and with `jobs` workers, and write one JSON object
- * with timings, digests, and audit counters to `fd`. Runs in the
- * child so the parent can read peak RSS from wait4(). The worker pool
- * is created once, before any timed region, so the parallel
- * measurement reflects scheduling cost, not thread start-up.
+ * `insts` instructions, synthesize its profile, run the paper pipeline
+ * once on a one-worker pool and once on a `jobs`-worker pool (the
+ * calibration probe runs right before the parallel leg), and write
+ * one JSON object with timings, digests, and audit counters to `fd`.
+ * Runs in the child so the parent can read peak RSS from wait4().
+ * Both pools exist before any timed region, so thread start-up is
+ * not measured.
  */
 void
-runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs,
-                   uint64_t serial_below, bool stage_profile, int fd)
+runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs, int fd)
 {
-    using Clock = std::chrono::steady_clock;
-    auto ms = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration<double, std::milli>(b - a)
-            .count();
-    };
-
     scale::ScaleConfig cfg;
     cfg.target_insts = insts;
     cfg.seed = seed;
     scale::ScaleStats stats;
     const Clock::time_point t0 = Clock::now();
-    ir::Module m = scale::buildScaleModule(cfg, &stats);
+    const ir::Module m = scale::buildScaleModule(cfg, &stats);
     const Clock::time_point t1 = Clock::now();
 
     scale::SyntheticProfileConfig pcfg;
     pcfg.seed = seed;
-    profile::EdgeProfile prof = scale::synthesizeProfile(m, pcfg);
+    const profile::EdgeProfile prof = scale::synthesizeProfile(m, pcfg);
     const Clock::time_point t2 = Clock::now();
 
-    // Warm the pool before the first timed build.
-    runtime::ThreadPool pool(std::max<size_t>(2, jobs));
+    runtime::ThreadPool one(1);
+    runtime::ThreadPool pool(jobs);
 
-    scale::ParallelPipelineConfig pc;
-    pc.defenses = harden::DefenseConfig::all();
-    pc.serial_below_insts = serial_below;
-    pc.jobs = 1;
-    scale::ParallelPipelineReport serial_rep;
-    std::string serial_digest;
-    const Clock::time_point t3 = Clock::now();
-    {
-        ir::Module image =
-            scale::buildImageParallel(m, prof, pc, &serial_rep);
-        serial_digest = scale::moduleDigest(image);
-    } // image freed here: peak RSS reflects one in-flight image
-    const Clock::time_point t4 = Clock::now();
+    const ScaleLeg serial = runScaleLeg(m, prof, one);
+    const auto [probe_ms, parallelism] = calibrationProbe(pool);
+    const ScaleLeg par = runScaleLeg(m, prof, pool);
 
-    pc.jobs = jobs;
-    pc.pool = &pool;
-    scale::ParallelPipelineReport par_rep;
-    std::string par_digest;
-    const Clock::time_point t5 = Clock::now();
-    {
-        ir::Module image =
-            scale::buildImageParallel(m, prof, pc, &par_rep);
-        par_digest = scale::moduleDigest(image);
-    }
-    const Clock::time_point t6 = Clock::now();
-
-    const double serial_ms = ms(t3, t4);
-    const double par_ms = ms(t5, t6);
-    std::string stages;
-    if (stage_profile) {
-        stages = "\"stages\":{\"serial\":" +
-                 stageTimingJson(serial_rep.timing) +
-                 ",\"parallel\":" + stageTimingJson(par_rep.timing) +
-                 "},";
-    }
+    const double serial_ms = serial.build_ms + serial.check_ms;
+    const double par_ms = par.build_ms + par.check_ms;
+    const bool match =
+        serial.digest == par.digest &&
+        check::renderText(serial.checks.diags) ==
+            check::renderText(par.checks.diags);
     dprintf(
         fd,
         "{\"target_insts\":%llu,\"insts\":%llu,\"functions\":%llu,"
         "\"icall_sites\":%llu,"
         "\"gen_ms\":%.1f,\"profile_ms\":%.1f,"
         "\"serial_build_ms\":%.1f,\"parallel_build_ms\":%.1f,"
-        "\"speedup\":%.2f,"
-        "\"jobs_used\":%llu,\"serial_bypass\":%s,"
-        "\"quiet_funcs\":%llu,\"participant_funcs\":%llu,"
-        "\"icp_ms\":%.1f,\"inline_ms\":%.1f,\"harden_ms\":%.1f,"
-        "\"check_ms\":%.1f,%s\"inline_rounds\":%u,"
-        "\"analyses_computed\":%llu,\"analyses_reused\":%llu,"
+        "\"speedup\":%.2f,\"probe_ms\":%.1f,\"parallelism\":%.2f,"
+        "\"build_ms\":%.1f,\"check_ms\":%.1f,"
+        "\"parallel_check_ms\":%.1f,"
+        "\"promoted_sites\":%u,\"inlined_sites\":%u,"
         "\"check_errors\":%llu,"
         "\"baseline_image_size\":%llu,\"image_size\":%llu,"
         "\"digest\":\"%s\",\"digests_match\":%s}",
@@ -1048,36 +1150,22 @@ runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs,
         static_cast<unsigned long long>(stats.num_insts),
         static_cast<unsigned long long>(stats.num_functions),
         static_cast<unsigned long long>(stats.icall_sites),
-        ms(t0, t1), ms(t1, t2), serial_ms, par_ms,
-        par_ms > 0 ? serial_ms / par_ms : 0.0,
-        static_cast<unsigned long long>(par_rep.jobs_used),
-        par_rep.serial_bypass ? "true" : "false",
-        static_cast<unsigned long long>(par_rep.quiet_funcs),
-        static_cast<unsigned long long>(par_rep.participant_funcs),
-        serial_rep.timing.icp_ms, serial_rep.timing.inline_ms,
-        serial_rep.timing.harden_ms, serial_rep.timing.check_ms,
-        stages.c_str(), par_rep.inline_rounds,
-        static_cast<unsigned long long>(
-            serial_rep.analyses_computed),
-        static_cast<unsigned long long>(serial_rep.analyses_reused),
-        static_cast<unsigned long long>(
-            serial_rep.checks.errors()),
-        static_cast<unsigned long long>(
-            serial_rep.baseline_image_size),
-        static_cast<unsigned long long>(serial_rep.image_size),
-        serial_digest.c_str(),
-        serial_digest == par_digest ? "true" : "false");
+        msBetween(t0, t1), msBetween(t1, t2), serial_ms, par_ms,
+        par_ms > 0 ? serial_ms / par_ms : 0.0, probe_ms, parallelism,
+        serial.build_ms, serial.check_ms, par.check_ms,
+        serial.promoted_sites, serial.inlined_sites,
+        static_cast<unsigned long long>(serial.checks.errors()),
+        static_cast<unsigned long long>(serial.baseline_image_size),
+        static_cast<unsigned long long>(serial.image_size),
+        serial.digest.c_str(), match ? "true" : "false");
 }
 
 int
 cmdScalebench(Args& args)
 {
     const std::string out = args.get("--out", "BENCH_scale.json");
-    const uint64_t seed = std::stoull(args.get("--seed", "42"));
-    const bool stage_profile = args.has("--stage-profile");
-    const uint64_t serial_below =
-        std::stoull(args.get("--serial-below", "4096"));
-    size_t jobs = std::stoul(args.get("--jobs", "0"));
+    const uint64_t seed = args.getUnsigned("--seed", "42");
+    size_t jobs = args.getUnsigned("--jobs", "0");
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
         if (jobs < 2)
@@ -1086,7 +1174,7 @@ cmdScalebench(Args& args)
     std::vector<uint64_t> sizes;
     for (const std::string& s : splitList(
              args.get("--sizes", "10000,32000,100000,320000,1000000")))
-        sizes.push_back(std::stoull(s));
+        sizes.push_back(parseUnsigned("--sizes", s));
     if (sizes.size() < 2)
         PIBE_FATAL("scalebench needs at least two --sizes");
 
@@ -1101,13 +1189,13 @@ cmdScalebench(Args& args)
         int fds[2];
         if (pipe(fds) != 0)
             PIBE_FATAL("pipe() failed");
+        std::fflush(stdout); // the child must not re-emit buffered rows
         const pid_t pid = fork();
         if (pid < 0)
             PIBE_FATAL("fork() failed");
         if (pid == 0) {
             close(fds[0]);
-            runScalebenchChild(n, seed, jobs, serial_below,
-                               stage_profile, fds[1]);
+            runScalebenchChild(n, seed, jobs, fds[1]);
             close(fds[1]);
             _exit(0);
         }
@@ -1132,12 +1220,13 @@ cmdScalebench(Args& args)
         row.maxrss_kb = ru.ru_maxrss; // Linux reports KiB
         all_match = all_match && row.json["digests_match"].asBool();
         std::printf("  %8llu insts: gen %6.0f ms, build %7.0f ms "
-                    "(x%.2f with %zu jobs), rss %ld MiB, errors %lld, "
-                    "digests %s\n",
+                    "(x%.2f with %zu jobs, parallelism %.2f), "
+                    "rss %ld MiB, errors %lld, digests %s\n",
                     static_cast<unsigned long long>(n),
                     row.json["gen_ms"].asDouble(),
                     row.json["serial_build_ms"].asDouble(),
                     row.json["speedup"].asDouble(), jobs,
+                    row.json["parallelism"].asDouble(),
                     row.maxrss_kb / 1024,
                     static_cast<long long>(
                         row.json["check_errors"].asInt()),
@@ -1173,36 +1262,19 @@ cmdScalebench(Args& args)
         max_rss_exp = std::max(max_rss_exp, rss_exps[i]);
     }
 
-    // Parallel-over-serial crossover: the smallest size whose
-    // parallel build beat the serial one without the bypass engaging.
-    uint64_t crossover = 0;
-    for (const Row& row : rows) {
-        if (!row.json["serial_bypass"].asBool() &&
-            row.json["speedup"].asDouble() > 1.0) {
-            crossover =
-                static_cast<uint64_t>(row.json["insts"].asDouble());
-            break;
-        }
-    }
-
     std::FILE* f = std::fopen(out.c_str(), "w");
     if (!f)
         PIBE_FATAL("cannot write ", out);
     std::fprintf(f,
                  "{\n  \"bench\": \"scale\",\n  \"seed\": %llu,\n"
                  "  \"jobs\": %zu,\n  \"nproc\": %u,\n"
-                 "  \"serial_below_insts\": %llu,\n"
-                 "  \"crossover_insts\": %llu,\n"
                  "  \"all_digests_match\": %s,\n"
                  "  \"max_time_scaling_exponent\": %.2f,\n"
                  "  \"max_rss_scaling_exponent\": %.2f,\n"
                  "  \"sizes\": [\n",
                  static_cast<unsigned long long>(seed), jobs,
                  std::thread::hardware_concurrency(),
-                 static_cast<unsigned long long>(serial_below),
-                 static_cast<unsigned long long>(crossover),
-                 all_match ? "true" : "false", max_time_exp,
-                 max_rss_exp);
+                 all_match ? "true" : "false", max_time_exp, max_rss_exp);
     for (size_t i = 0; i < rows.size(); ++i) {
         serve::Json j = rows[i].json;
         std::string dumped = j.dump();
@@ -1243,18 +1315,17 @@ cmdServe(Args& args)
     opts.socket_path = args.get("--socket", "/tmp/pibe-serve.sock");
     const std::string tcp = args.get("--tcp");
     if (!tcp.empty())
-        opts.tcp_port = std::stoi(tcp);
-    opts.jobs = static_cast<unsigned>(
-        std::stoul(args.get("--jobs", "0")));
+        opts.tcp_port = static_cast<int>(parseUnsigned("--tcp", tcp));
+    opts.jobs = static_cast<unsigned>(args.getUnsigned("--jobs", "0"));
     opts.cache_dir = args.get("--cache-dir");
-    opts.cache_budget = std::stoull(args.get("--cache-budget", "0"));
+    opts.cache_budget = args.getUnsigned("--cache-budget", "0");
     opts.kernel.num_drivers = static_cast<uint32_t>(
-        std::stoul(args.get("--drivers", "448")));
-    opts.kernel.seed = std::stoull(args.get("--seed", "42"));
+        args.getUnsigned("--drivers", "448"));
+    opts.kernel.seed = args.getUnsigned("--seed", "42");
     opts.profile_base_iters = static_cast<uint32_t>(
-        std::stoul(args.get("--profile-iters", "120")));
+        args.getUnsigned("--profile-iters", "120"));
     opts.max_inflight = static_cast<unsigned>(
-        std::stoul(args.get("--max-inflight", "0")));
+        args.getUnsigned("--max-inflight", "0"));
     opts.default_defense = args.get("--defense", "all");
     opts.fail_on = args.get("--fail-on", "error");
     opts.auth_token = args.get("--auth-token", envAuthToken());
@@ -1277,18 +1348,18 @@ cmdLoadgen(Args& args)
     opts.socket_path = args.get("--socket", "/tmp/pibe-serve.sock");
     const std::string tcp = args.get("--tcp");
     if (!tcp.empty()) {
-        opts.tcp_port = std::stoi(tcp);
+        opts.tcp_port = static_cast<int>(parseUnsigned("--tcp", tcp));
         opts.socket_path = args.get("--socket");
     }
     opts.requests = static_cast<uint32_t>(
-        std::stoul(args.get("--requests", "500")));
-    opts.clients = std::max(1u, static_cast<uint32_t>(std::stoul(
-                                    args.get("--clients", "8"))));
-    opts.seed = std::stoull(args.get("--seed", "1"));
+        args.getUnsigned("--requests", "500"));
+    opts.clients = std::max(
+        1u, static_cast<uint32_t>(args.getUnsigned("--clients", "8")));
+    opts.seed = args.getUnsigned("--seed", "1");
     opts.image_variants = static_cast<uint32_t>(
-        std::stoul(args.get("--variants", "2")));
+        args.getUnsigned("--variants", "2"));
     opts.verify =
-        static_cast<uint32_t>(std::stoul(args.get("--verify", "0")));
+        static_cast<uint32_t>(args.getUnsigned("--verify", "0"));
     opts.out_path = args.get("--out", "BENCH_serve.json");
     opts.auth_token = args.get("--auth-token", envAuthToken());
     return serve::runLoadgen(opts);
@@ -1313,7 +1384,7 @@ cmdClient(Args& args)
     bool connected = false;
     if (!tcp.empty())
         connected = client.connectTcp(
-            static_cast<uint16_t>(std::stoul(tcp)));
+            static_cast<uint16_t>(parseUnsigned("--tcp", tcp)));
     else
         connected = client.connectUnix(
             args.get("--socket", "/tmp/pibe-serve.sock"));
@@ -1407,18 +1478,8 @@ cmdSelftest()
 }
 
 int
-run(int argc, char** argv)
+dispatch(const std::string& cmd, Args& args)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: pibe "
-                     "<kernel|profile|optimize|measure|attack|stats|"
-                     "check|surface|genkernel|scalebench|serve|loadgen|"
-                     "client|selftest> [options]\n");
-        return 2;
-    }
-    const std::string cmd = argv[1];
-    Args args(argc - 2, argv + 2);
     if (cmd == "kernel")
         return cmdKernel(args);
     if (cmd == "profile")
@@ -1448,6 +1509,31 @@ run(int argc, char** argv)
     if (cmd == "selftest")
         return cmdSelftest();
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+    return 2;
+}
+
+int
+run(int argc, char** argv)
+{
+    if (argc < 2) {
+        std::fprintf(stderr,
+                     "usage: pibe "
+                     "<kernel|profile|optimize|measure|attack|stats|"
+                     "check|surface|genkernel|scalebench|serve|loadgen|"
+                     "client|selftest> [options]\n");
+        return 2;
+    }
+    const std::string cmd = argv[1];
+    Args args(argc - 2, argv + 2);
+    // Malformed numeric option values (parseUnsigned/parseReal) are
+    // usage errors, not crashes.
+    try {
+        return dispatch(cmd, args);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "pibe %s: %s\n", cmd.c_str(), e.what());
+    } catch (const std::out_of_range& e) {
+        std::fprintf(stderr, "pibe %s: %s\n", cmd.c_str(), e.what());
+    }
     return 2;
 }
 

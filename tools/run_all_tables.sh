@@ -11,9 +11,10 @@
 # throughput, cold vs warm cache) into the output as well.
 #
 # It also runs `pibe scalebench` (Linux-scale generated modules
-# through the parallel pipeline, serial-vs-parallel digest identity,
-# build-time and peak-RSS curves) and merges its BENCH_scale.json under
-# the same provenance stamp.
+# through core::buildImage plus one audit, on one worker and on $JOBS
+# workers, with serial-vs-parallel audit identity, build-time and
+# peak-RSS curves) and merges its BENCH_scale.json under the same
+# provenance stamp.
 #
 # It also runs `pibe surface` (interprocedural target-set analysis +
 # residual-attack-surface report) over a freshly built paper kernel and
@@ -108,11 +109,10 @@ done
     --op shutdown > /dev/null
 wait "$SERVE_PID"
 
-echo "== scalebench (generated modules, serial vs parallel) =="
-"$BUILD_DIR/tools/pibe" scalebench --jobs "$JOBS" --stage-profile \
-    --out "$SCALE_JSON"
+echo "== scalebench (generated modules, serial vs parallel audit) =="
+"$BUILD_DIR/tools/pibe" scalebench --jobs "$JOBS" --out "$SCALE_JSON"
 
-echo "== parallel check sandwich timing (pibe check --jobs --timing) =="
+echo "== parallel check timing (pibe check --jobs --timing) =="
 "$BUILD_DIR/tools/pibe" genkernel --insts 100000 --seed 42 \
     -o "$WORK/check-scale.pir" --profile "$WORK/check-scale.prof" \
     > /dev/null
