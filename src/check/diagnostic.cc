@@ -1,6 +1,7 @@
 #include "check/diagnostic.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <tuple>
 
@@ -16,8 +17,6 @@ severityName(Severity s)
     }
     return "?";
 }
-
-namespace {
 
 std::string
 jsonEscape(const std::string& s)
@@ -42,8 +41,6 @@ jsonEscape(const std::string& s)
     }
     return out;
 }
-
-} // namespace
 
 std::string
 Diagnostic::render() const

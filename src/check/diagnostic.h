@@ -25,6 +25,10 @@ enum class Severity : uint8_t {
 
 const char* severityName(Severity s);
 
+/** `s` as the body of a JSON string literal (quotes, backslashes and
+ *  control characters escaped; no surrounding quotes). */
+std::string jsonEscape(const std::string& s);
+
 /** One finding. */
 struct Diagnostic
 {

@@ -42,18 +42,10 @@
  * summary dirty and the next query re-extracts only that summary
  * before re-running the (cheap, module-wide) fixpoint.
  *
- * Two solvers compute the fixpoint (see DESIGN.md §11):
- *  - kFast (default): SCC condensation of the copy-edge graph
- *    (iterative Tarjan up front, lazy cycle detection collapsing
- *    cycles formed by dynamically wired icall edges), difference
- *    propagation (only set deltas travel along edges), and a
- *    hash-consed interned set pool with memoized unions so the
- *    thousands of op-table-seeded nodes share storage.
- *  - kReference: the original naive full-set worklist fixpoint, kept
- *    as the differential-testing oracle.
- * Both run the same monotone constraint system to its unique least
- * fixpoint, so their results are bit-identical; tests assert it.
- * PIBE_TARGET_SOLVER=reference selects the oracle at runtime.
+ * The fixpoint is a plain worklist (see DESIGN.md §11): whole sets
+ * travel along subset edges until nothing changes. Only the solution
+ * outlives a solve; the edge lists and the worklist are freed on
+ * return.
  */
 #ifndef PIBE_CHECK_TARGET_SETS_H_
 #define PIBE_CHECK_TARGET_SETS_H_
@@ -113,25 +105,12 @@ struct BadGlobalSlot
     int64_t value = 0;
 };
 
-/** Which fixpoint engine TargetSetAnalysis runs. */
-enum class SolverMode : uint8_t {
-    kFast,      ///< SCC + difference propagation + interned sets.
-    kReference, ///< Naive full-set worklist (differential oracle).
-};
-
 /** Counters from the most recent fixpoint solve. */
 struct SolverStats
 {
-    SolverMode mode = SolverMode::kFast;
-    uint32_t nodes = 0;          ///< Abstract locations.
-    uint32_t static_edges = 0;   ///< Subset edges from summaries.
-    uint32_t dynamic_edges = 0;  ///< Icall arg/ret edges wired in.
-    uint32_t scc_collapsed = 0;  ///< Nodes merged by offline Tarjan.
-    uint32_t lcd_collapsed = 0;  ///< Nodes merged by lazy cycle det.
-    uint32_t interned_sets = 0;  ///< Distinct sets in the pool.
-    uint64_t union_memo_hits = 0;///< Memoized set unions reused.
-    uint64_t pops = 0;           ///< Worklist pops to fixpoint.
-    double solve_ms = 0.0;       ///< Wall time of the last solve.
+    uint32_t nodes = 0;    ///< Abstract locations.
+    uint64_t pops = 0;     ///< Worklist pops to fixpoint.
+    double solve_ms = 0.0; ///< Wall time of the last solve.
 };
 
 class TargetSetAnalysis
@@ -173,7 +152,7 @@ class TargetSetAnalysis
 
     /**
      * Force the lazy fixpoint now. After this returns — and until the
-     * next invalidateFunction/invalidateAll/setSolverMode call — the
+     * next invalidateFunction/invalidateAll call — the
      * query methods (sites, site, regTargets, addressTaken,
      * badGlobalSlots) only read solved state and are safe to call
      * from multiple threads concurrently (runChecksParallel
@@ -188,12 +167,6 @@ class TargetSetAnalysis
      *  contract: after invalidateFunction(f), the next solve grows
      *  this by exactly one. */
     size_t summariesExtracted() const { return summaries_extracted_; }
-
-    /** Select the fixpoint engine. Forces a re-solve on next query.
-     *  The environment variable PIBE_TARGET_SOLVER (fast|reference)
-     *  sets the construction-time default. */
-    void setSolverMode(SolverMode m);
-    SolverMode solverMode() const { return mode_; }
 
     /** Counters from the most recent solve (pibe check --timing). */
     const SolverStats& solverStats() const { return stats_; }
@@ -243,26 +216,11 @@ class TargetSetAnalysis
 
     void extractSummary(ir::FuncId f);
     void solve();
-    void solveReference();
-    void solveFast();
-    void prepareSolve();
     void layoutNodes();
-    const std::vector<ir::FuncId>& nodePts(uint32_t node) const;
-    bool nodeIncomplete(uint32_t node) const
-    {
-        return incomplete_[node];
-    }
     uint32_t regNode(ir::FuncId f, ir::Reg r) const;
     uint32_t frameNode(ir::FuncId f, uint32_t slot) const;
     uint32_t retNode(ir::FuncId f) const;
     uint32_t globalNode(ir::GlobalId g) const;
-
-    // Solver helpers (valid only during solve()).
-    void addEdge(uint32_t from, uint32_t to);
-    void addTaintEdge(uint32_t from, uint32_t to);
-    bool unionInto(uint32_t node, const std::vector<ir::FuncId>& add);
-    bool markIncomplete(uint32_t node);
-    void push(uint32_t node);
 
     const ir::Module& module_;
     std::vector<std::string> roots_;
@@ -279,25 +237,14 @@ class TargetSetAnalysis
     uint32_t global_base_ = 0;
     uint32_t num_nodes_ = 0;
 
-    // Solution. In reference mode pts_ holds one vector per node; in
-    // fast mode sets are interned in pool_sets_ and node_set_ maps a
-    // node to its pool id. nodePts() hides the difference.
+    // Solution of the last solve: one sorted set per node.
     std::vector<std::vector<ir::FuncId>> pts_;
-    std::vector<std::vector<ir::FuncId>> pool_sets_;
-    std::vector<uint32_t> node_set_;
     std::vector<bool> incomplete_;
     std::map<ir::SiteId, SiteTargets> sites_;
     std::vector<ir::FuncId> address_taken_;
     std::vector<BadGlobalSlot> bad_slots_;
 
-    SolverMode mode_;
     SolverStats stats_;
-
-    // Reference-solver worklist state.
-    std::vector<std::vector<uint32_t>> edges_;
-    std::vector<std::vector<uint32_t>> taint_edges_;
-    std::vector<uint32_t> worklist_;
-    std::vector<bool> on_worklist_;
 };
 
 /**

@@ -5,8 +5,9 @@
  * taint, globals, call arg/ret), completeness semantics, the
  * incremental invalidation contract, the verify.targets /
  * coverage.targets checkers (including the seeded out-of-set-promotion
- * bug they must catch), the surface report, and a clean audit of a
- * genkernel-scale image at every pool size.
+ * bug they must catch), the surface report and its JSON, a clean
+ * audit of a genkernel-scale image at every pool size, and known
+ * answers for the solver on a copy cycle and a deep copy chain.
  */
 #include <gtest/gtest.h>
 
@@ -437,6 +438,20 @@ TEST(TargetSets, SurfaceReportCountsAndAir)
     EXPECT_NE(json.find("\"defenses\""), std::string::npos);
 }
 
+// The module name is a user-supplied path: quotes and backslashes in
+// it must come out escaped, or the report is not valid JSON.
+TEST(TargetSets, SurfaceJsonEscapesModuleName)
+{
+    TableModule t = makeTableModule();
+    TargetSetAnalysis tsa(t.m);
+    check::SurfaceReport rep = check::buildSurfaceReport(tsa, 8);
+    rep.module_name = "q/a\"b\\c.pir";
+    const std::string json = check::renderSurfaceJson(rep);
+    EXPECT_NE(json.find("\"module\": \"q/a\\\"b\\\\c.pir\","),
+              std::string::npos)
+        << json;
+}
+
 // genkernel smoke: a 10^5-instruction synthetic kernel's op-table
 // discipline must give every site a complete feasible set, and
 // verify.targets must be clean. The core::buildImage image with total
@@ -494,74 +509,12 @@ TEST(TargetSets, GenkernelImageAuditsCleanAtEveryPoolSize)
         << "sorted diagnostics must not depend on the pool size";
 }
 
-// --- fast solver vs reference oracle --------------------------------
+// --- solver shapes with known answers ------------------------------
 
-// Both engines compute the unique least fixpoint, so every queryable
-// fact — per-site target sets, completeness flags, the address-taken
-// pool, bad global slots — must be bit-identical.
-void
-expectSolversAgree(const Module& m)
-{
-    TargetSetAnalysis fast(m);
-    fast.setSolverMode(check::SolverMode::kFast);
-    TargetSetAnalysis ref(m);
-    ref.setSolverMode(check::SolverMode::kReference);
-
-    const auto& sf = fast.sites();
-    const auto& sr = ref.sites();
-    ASSERT_EQ(sf.size(), sr.size());
-    auto it = sf.begin();
-    auto jt = sr.begin();
-    for (; it != sf.end(); ++it, ++jt) {
-        EXPECT_EQ(it->first, jt->first);
-        EXPECT_EQ(it->second.incomplete, jt->second.incomplete)
-            << "site " << it->first;
-        EXPECT_EQ(it->second.targets, jt->second.targets)
-            << "site " << it->first;
-    }
-    EXPECT_EQ(fast.addressTaken(), ref.addressTaken());
-    ASSERT_EQ(fast.badGlobalSlots().size(),
-              ref.badGlobalSlots().size());
-    for (size_t i = 0; i < fast.badGlobalSlots().size(); ++i) {
-        EXPECT_EQ(fast.badGlobalSlots()[i].global,
-                  ref.badGlobalSlots()[i].global);
-        EXPECT_EQ(fast.badGlobalSlots()[i].slot,
-                  ref.badGlobalSlots()[i].slot);
-    }
-    EXPECT_EQ(fast.solverStats().mode, check::SolverMode::kFast);
-    EXPECT_EQ(ref.solverStats().mode, check::SolverMode::kReference);
-}
-
-TEST(SolverDifferential, AgreesOnRandomModules)
-{
-    for (uint64_t seed : {1u, 5u, 17u, 42u, 101u, 999u}) {
-        test::GenConfig gcfg;
-        gcfg.seed = seed;
-        gcfg.num_mids = 9;
-        gcfg.max_blocks = 6;
-        const ir::Module m = test::generateModule(gcfg);
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSolversAgree(m);
-    }
-}
-
-TEST(SolverDifferential, AgreesOnGenkernelModules)
-{
-    for (uint64_t seed : {7u, 13u}) {
-        scale::ScaleConfig cfg;
-        cfg.target_insts = 20000;
-        cfg.seed = seed;
-        const Module m = scale::buildScaleModule(cfg);
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSolversAgree(m);
-    }
-}
-
-// A ring of kMove copies (one big SCC) fed from an op table and
-// drained by an icall: the shape that forces the fast solver through
-// its cycle-collapsing paths (offline Tarjan catches the static ring;
-// LCD catches cycles closed through dynamic call edges).
-TEST(SolverDifferential, AgreesOnCopyRingSCC)
+// A ring of kMove copies (one big copy cycle) fed from an op table and
+// drained by an icall: the worklist must circulate the table's set
+// around the cycle and stop once it has settled.
+TEST(TargetSets, CopyRingReachesWholeTable)
 {
     Module m;
     std::vector<int64_t> init;
@@ -602,25 +555,21 @@ TEST(SolverDifferential, AgreesOnCopyRingSCC)
         insts.insert(insts.end() - 2, back_edge);
     }
     ASSERT_TRUE(test::verifies(m));
-    expectSolversAgree(m);
 
-    // The collapsed solve must actually have collapsed the ring.
-    TargetSetAnalysis fast(m);
-    fast.setSolverMode(check::SolverMode::kFast);
-    fast.ensureSolved();
-    EXPECT_GT(fast.solverStats().scc_collapsed +
-                  fast.solverStats().lcd_collapsed,
-              0u);
+    TargetSetAnalysis tsa(m);
+    ASSERT_FALSE(tsa.sites().empty());
     // Every reg in the ring aliases the whole table.
-    for (const auto& [sid, targets] : fast.sites()) {
-        EXPECT_EQ(targets.targets.size(), 40u);
-        EXPECT_TRUE(targets.complete());
+    for (const auto& [sid, st] : tsa.sites()) {
+        EXPECT_TRUE(st.complete()) << "site " << sid;
+        EXPECT_EQ(st.targets.size(), 40u) << "site " << sid;
     }
+    EXPECT_GT(tsa.solverStats().nodes, 300u);
+    EXPECT_GE(tsa.solverStats().pops, tsa.solverStats().nodes);
 }
 
 // A deep linear copy chain routed through a frame slot round-trip:
-// stresses difference propagation down long paths.
-TEST(SolverDifferential, AgreesOnDeepChainThroughFrame)
+// the table's set must survive 500 copies and a spill/reload.
+TEST(TargetSets, DeepChainThroughFrameSlotStaysComplete)
 {
     Module m;
     std::vector<int64_t> init;
@@ -644,7 +593,12 @@ TEST(SolverDifferential, AgreesOnDeepChainThroughFrame)
         b.ret(b.icall(back, {b.param(0)}));
     }
     ASSERT_TRUE(test::verifies(m));
-    expectSolversAgree(m);
+
+    TargetSetAnalysis tsa(m);
+    ASSERT_EQ(tsa.sites().size(), 1u);
+    const check::SiteTargets& st = tsa.sites().begin()->second;
+    EXPECT_TRUE(st.complete());
+    EXPECT_EQ(st.targets.size(), 25u);
 }
 
 } // namespace

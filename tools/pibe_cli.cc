@@ -839,16 +839,7 @@ cmdCheck(Args& args)
         if (opts.targets) {
             const check::SolverStats& ss =
                 am.targetSets(opts.roots).solverStats();
-            t << ",\"solver\":{\"mode\":\""
-              << (ss.mode == check::SolverMode::kFast ? "fast"
-                                                      : "reference")
-              << "\",\"nodes\":" << ss.nodes
-              << ",\"static_edges\":" << ss.static_edges
-              << ",\"dynamic_edges\":" << ss.dynamic_edges
-              << ",\"scc_collapsed\":" << ss.scc_collapsed
-              << ",\"lcd_collapsed\":" << ss.lcd_collapsed
-              << ",\"interned_sets\":" << ss.interned_sets
-              << ",\"union_memo_hits\":" << ss.union_memo_hits
+            t << ",\"solver\":{\"nodes\":" << ss.nodes
               << ",\"pops\":" << ss.pops << ",\"solve_ms\":"
               << std::fixed << std::setprecision(2) << ss.solve_ms
               << "}";
@@ -861,8 +852,9 @@ cmdCheck(Args& args)
         std::printf("{\"module\":\"%s\",\"errors\":%zu,"
                     "\"warnings\":%zu,\"notes\":%zu,"
                     "\"passed\":%s,%s\"diagnostics\":%s}\n",
-                    path.c_str(), report.errors(), report.warnings(),
-                    report.notes(), outcome.passed ? "true" : "false",
+                    check::jsonEscape(path).c_str(), report.errors(),
+                    report.warnings(), report.notes(),
+                    outcome.passed ? "true" : "false",
                     timing_json.empty()
                         ? ""
                         : ("\"timing\":" + timing_json + ",").c_str(),
