@@ -8,13 +8,13 @@
  *
  * Besides the google-benchmark suite, `--interpreter-json FILE` runs
  * the dispatch-cost harness on the same syscall workload and writes
- * FILE (BENCH_interpreter.json): decoded-engine throughput per
- * dispatch configuration (threaded/switch x fused/unfused), the
- * pre-rewrite reference loop as the speedup denominator, per-family
- * superinstruction coverage (static sites + dynamic executions), the
- * top decode-time digrams the fusion set was chosen from, and a
- * provenance block (git sha, compiler, CPU model, dispatch mode) so
- * recorded numbers are attributable to a machine and build.
+ * FILE (BENCH_interpreter.json): throughput of the decoded switch
+ * loop with and without decode-time fusion, the pre-rewrite reference
+ * loop as the speedup denominator, per-family superinstruction
+ * coverage (static sites + dynamic executions), the top decode-time
+ * digrams the fusion set was chosen from, and a provenance block (git
+ * sha, compiler, CPU model, dispatch mode) so recorded numbers are
+ * attributable to a machine and build.
  *
  * Throughput methodology: each configuration reports its *peak*
  * 1000-syscall window over >= 2 s of measurement. A window (~1.5 ms)
@@ -165,8 +165,6 @@ struct RateConfig
 {
     bool reference = false; ///< Pre-rewrite loop (ignores the rest).
     bool fuse = true;       ///< Decode-time superinstruction fusion.
-    uarch::Simulator::DispatchMode mode =
-        uarch::Simulator::DispatchMode::kThreaded;
 };
 
 /**
@@ -184,7 +182,6 @@ syscallRate(const RateConfig& cfg, double min_seconds)
         k.module, cfg.fuse);
     uarch::Simulator sim(decoded);
     sim.setUseReferencePath(cfg.reference);
-    sim.setDispatchMode(cfg.mode);
     workload::KernelHandle handle(sim, k.info);
     handle.boot();
     for (int i = 0; i < 200; ++i)
@@ -277,17 +274,9 @@ writeInterpreterJson(const char* path)
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
 
-    const auto kThreaded = Simulator::DispatchMode::kThreaded;
-    const auto kSwitch = Simulator::DispatchMode::kSwitch;
     const double reference = syscallRate({.reference = true}, 2.0);
-    const double hot =
-        syscallRate({.fuse = true, .mode = kThreaded}, 2.0);
-    const double hot_switch =
-        syscallRate({.fuse = true, .mode = kSwitch}, 2.0);
-    const double unfused =
-        syscallRate({.fuse = false, .mode = kThreaded}, 2.0);
-    const double unfused_switch =
-        syscallRate({.fuse = false, .mode = kSwitch}, 2.0);
+    const double hot = syscallRate({.fuse = true}, 2.0);
+    const double unfused = syscallRate({.fuse = false}, 2.0);
 
     // Per-family dynamic execution counts over a fixed syscall batch
     // (the dispatch-count side of the per-digram cost story; the rate
@@ -313,13 +302,8 @@ writeInterpreterJson(const char* path)
                  "  \"methodology\": \"peak 1000-syscall window over "
                  ">=2s per configuration\",\n");
     std::fprintf(out, "  \"decoded_minstr_per_s\": %.3f,\n", hot / 1e6);
-    std::fprintf(out, "  \"decoded_switch_minstr_per_s\": %.3f,\n",
-                 hot_switch / 1e6);
     std::fprintf(out, "  \"decoded_unfused_minstr_per_s\": %.3f,\n",
                  unfused / 1e6);
-    std::fprintf(out,
-                 "  \"decoded_unfused_switch_minstr_per_s\": %.3f,\n",
-                 unfused_switch / 1e6);
     std::fprintf(out, "  \"reference_minstr_per_s\": %.3f,\n",
                  reference / 1e6);
     std::fprintf(out, "  \"speedup\": %.3f,\n", hot / reference);
@@ -392,8 +376,8 @@ writeInterpreterJson(const char* path)
     }
     // Measured dispatch cost: how many dispatches the fixed syscall
     // batch performed (fused pairs retire two instructions per
-    // dispatch) and the derived per-dispatch cost in each
-    // configuration — the number a future fusion candidate's expected
+    // dispatch) and the derived per-dispatch cost, fused and unfused
+    // — the number a future fusion candidate's expected
     // saving is priced against.
     {
         uint64_t fused_execs = 0;
@@ -410,18 +394,10 @@ writeInterpreterJson(const char* path)
                      static_cast<unsigned long long>(dispatches));
         std::fprintf(out, "    \"fused_execs\": %llu,\n",
                      static_cast<unsigned long long>(fused_execs));
-        std::fprintf(out,
-                     "    \"threaded_ns_per_dispatch\": %.3f,\n",
+        std::fprintf(out, "    \"ns_per_dispatch\": %.3f,\n",
                      1e9 / hot * per_disp);
-        std::fprintf(out, "    \"switch_ns_per_dispatch\": %.3f,\n",
-                     1e9 / hot_switch * per_disp);
-        std::fprintf(
-            out,
-            "    \"unfused_threaded_ns_per_dispatch\": %.3f,\n",
-            1e9 / unfused);
-        std::fprintf(out,
-                     "    \"unfused_switch_ns_per_dispatch\": %.3f\n",
-                     1e9 / unfused_switch);
+        std::fprintf(out, "    \"unfused_ns_per_dispatch\": %.3f\n",
+                     1e9 / unfused);
         std::fprintf(out, "  },\n");
     }
     // Provenance: make the recorded number attributable.
@@ -437,19 +413,16 @@ writeInterpreterJson(const char* path)
         std::fprintf(out, "    \"compiler\": \"%s\",\n", compilerId());
         std::fprintf(out, "    \"cpu\": \"%s\",\n",
                      cpuModel().c_str());
-        std::fprintf(out, "    \"dispatch_mode\": \"%s\",\n",
-                     Simulator::threadedDispatchAvailable() ? "threaded"
-                                                            : "switch");
+        std::fprintf(out, "    \"dispatch_mode\": \"switch\",\n");
         std::fprintf(out, "    \"timestamp_utc\": \"%s\"\n", stamp);
         std::fprintf(out, "  }\n");
     }
     std::fprintf(out, "}\n");
     std::fclose(out);
-    std::printf("interpreter: decoded %.2f Minstr/s (switch %.2f, "
-                "unfused %.2f), reference %.2f Minstr/s (%.2fx) -> "
-                "%s\n",
-                hot / 1e6, hot_switch / 1e6, unfused / 1e6,
-                reference / 1e6, hot / reference, path);
+    std::printf("interpreter: decoded %.2f Minstr/s (unfused %.2f), "
+                "reference %.2f Minstr/s (%.2fx) -> %s\n",
+                hot / 1e6, unfused / 1e6, reference / 1e6,
+                hot / reference, path);
     return 0;
 }
 

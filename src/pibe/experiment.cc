@@ -2,14 +2,23 @@
 
 namespace pibe::core {
 
-namespace {
-
-/** Setup + warmup + measured phase on an already-booted simulator. */
 Measurement
-measureOnBooted(uarch::Simulator& sim, const kernel::KernelInfo& info,
+measureWorkload(const ir::Module& image, const kernel::KernelInfo& info,
                 workload::Workload& wl, const MeasureConfig& config)
 {
+    return measureWorkload(
+        std::make_shared<const uarch::DecodedModule>(image), info, wl,
+        config);
+}
+
+Measurement
+measureWorkload(std::shared_ptr<const uarch::DecodedModule> decoded,
+                const kernel::KernelInfo& info, workload::Workload& wl,
+                const MeasureConfig& config)
+{
+    uarch::Simulator sim(std::move(decoded), config.params);
     workload::KernelHandle handle(sim, info);
+    handle.boot();
     wl.setup(handle);
     for (uint32_t i = 0; i < config.warmup_iters; ++i)
         wl.iteration(handle, i);
@@ -32,61 +41,6 @@ measureOnBooted(uarch::Simulator& sim, const kernel::KernelInfo& info,
                   cycles_per_iter
             : 0;
     return m;
-}
-
-} // namespace
-
-Measurement
-measureWorkload(const ir::Module& image, const kernel::KernelInfo& info,
-                workload::Workload& wl, const MeasureConfig& config)
-{
-    return measureWorkload(
-        std::make_shared<const uarch::DecodedModule>(image), info, wl,
-        config);
-}
-
-Measurement
-measureWorkload(std::shared_ptr<const uarch::DecodedModule> decoded,
-                const kernel::KernelInfo& info, workload::Workload& wl,
-                const MeasureConfig& config)
-{
-    uarch::Simulator sim(std::move(decoded), config.params);
-    workload::KernelHandle handle(sim, info);
-    handle.boot();
-    return measureOnBooted(sim, info, wl, config);
-}
-
-std::map<std::string, Measurement>
-measureSuite(const ir::Module& image, const kernel::KernelInfo& info,
-             std::span<const std::unique_ptr<workload::Workload>> suite,
-             const MeasureConfig& config)
-{
-    std::map<std::string, Measurement> results;
-    // Decode once for the whole suite: stateful workloads get a fresh
-    // boot on the shared decoded image, stateless ones also share one
-    // booted simulator.
-    const auto decoded =
-        std::make_shared<const uarch::DecodedModule>(image);
-    std::unique_ptr<uarch::Simulator> shared;
-    for (const auto& wl : suite) {
-        if (wl->hasCrossTestState()) {
-            results[wl->name()] =
-                measureWorkload(decoded, info, *wl, config);
-            continue;
-        }
-        if (!shared) {
-            shared = std::make_unique<uarch::Simulator>(decoded,
-                                                        config.params);
-            workload::KernelHandle handle(*shared, info);
-            handle.boot();
-        } else {
-            // Comparable starting conditions without a re-boot.
-            shared->resetMicroarch();
-        }
-        results[wl->name()] =
-            measureOnBooted(*shared, info, *wl, config);
-    }
-    return results;
 }
 
 profile::EdgeProfile

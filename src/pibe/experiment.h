@@ -6,9 +6,7 @@
 #ifndef PIBE_PIBE_EXPERIMENT_H_
 #define PIBE_PIBE_EXPERIMENT_H_
 
-#include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -54,19 +52,6 @@ Measurement
 measureWorkload(std::shared_ptr<const uarch::DecodedModule> decoded,
                 const kernel::KernelInfo& info, workload::Workload& wl,
                 const MeasureConfig& config = {});
-
-/**
- * Measure a whole suite; returns test name -> measurement.
- *
- * Workloads that declare no cross-test state (see
- * Workload::hasCrossTestState) share a single booted image — the
- * microarchitectural state is reset between tests, but boot and code
- * layout are paid once. Stateful workloads get a fresh boot each.
- */
-std::map<std::string, Measurement>
-measureSuite(const ir::Module& image, const kernel::KernelInfo& info,
-             std::span<const std::unique_ptr<workload::Workload>> suite,
-             const MeasureConfig& config = {});
 
 /**
  * Phase-1 profiling run: execute every workload (setup + iterations)

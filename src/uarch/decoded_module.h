@@ -39,7 +39,8 @@
  *
  * A DecodedModule is immutable after construction and holds no
  * runtime state, so one instance can be shared by any number of
- * simulators (measureSuite shares one across a whole workload suite).
+ * simulators (the engine shares one across every measurement of an
+ * image).
  * Decoding only reads the module and the layout; it does not depend
  * on CostParams, so the cache key is the module alone.
  *
@@ -222,16 +223,6 @@ constexpr size_t kNumFusedFamilies =
     static_cast<size_t>(FusedFamily::kCount);
 
 const char* fusedFamilyName(FusedFamily family);
-
-/**
- * Bytes DecodedModule(module) would hold, computed in one streaming
- * walk over the IR — no layout, no decoded tables, O(1) extra memory.
- * Matches DecodedModule::decodedBytes() exactly (same table-size
- * accounting, including the dense-vs-sorted switch dispatch choice),
- * so scale benchmarks can report projected simulator memory for
- * 10^6-instruction modules without paying the decode allocation.
- */
-uint64_t estimateDecodedBytes(const ir::Module& module);
 
 /** Family of a fused opcode (op must satisfy isFusedOp). */
 constexpr FusedFamily

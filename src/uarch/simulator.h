@@ -86,34 +86,21 @@ struct RunStats
 class Simulator
 {
   public:
-    /**
-     * How run() dispatches decoded instructions. Both modes execute
-     * the same handler bodies (one shared include) and produce
-     * bit-identical stats; they differ only in dispatch overhead.
-     */
-    enum class DispatchMode : uint8_t {
-        kThreaded, ///< Direct-threaded computed goto (GCC/Clang).
-        kSwitch,   ///< Portable switch-on-opcode loop.
-    };
-
-    /** False when the build has no computed-goto support (or was
-     *  configured with -DPIBE_DISPATCH=switch): threaded mode is then
-     *  unavailable and every simulator runs the switch loop. */
-    static bool threadedDispatchAvailable();
-
-    /**
-     * Process-wide default: kThreaded when available, unless the
-     * PIBE_DISPATCH environment variable says "switch" (read once).
-     */
-    static DispatchMode defaultDispatchMode();
+    /** Vestige kept only for the benchmark's context stamp
+     *  (perfbench/bench/main.cc); run() has one switch loop. */
+    enum class DispatchMode : uint8_t { kThreaded, kSwitch };
+    static constexpr DispatchMode defaultDispatchMode()
+    {
+        return DispatchMode::kSwitch;
+    }
 
     explicit Simulator(const ir::Module& module,
                        const CostParams& params = {});
 
     /**
      * Share a pre-decoded image across simulators: decoding is paid
-     * once per module, not once per Simulator (measureSuite uses this
-     * to decode each image a single time for the whole suite).
+     * once per module, not once per Simulator (the engine and
+     * collectProfile decode each image a single time).
      */
     explicit Simulator(std::shared_ptr<const DecodedModule> decoded,
                        const CostParams& params = {});
@@ -136,9 +123,6 @@ class Simulator
 
     /** Reinitialize global memory from the module's initializers. */
     void resetMemory();
-
-    /** Flush caches, predictors, and JumpSwitch runtime state. */
-    void resetMicroarch();
 
     const RunStats& stats() const { return stats_; }
     void clearStats() { stats_ = RunStats{}; }
@@ -165,17 +149,6 @@ class Simulator
      * microbenchmark.
      */
     void setUseReferencePath(bool use) { use_reference_ = use; }
-
-    /**
-     * Select the decoded-path dispatch mode for this simulator.
-     * Requests for kThreaded are clamped to kSwitch when threaded
-     * dispatch is unavailable, so dispatchMode() always reports what
-     * actually runs.
-     */
-    void setDispatchMode(DispatchMode mode);
-    DispatchMode dispatchMode() const { return dispatch_; }
-    /** "threaded" or "switch" (benchmark provenance stamps). */
-    const char* dispatchModeName() const;
 
     /** Running hash of all kSink values — the observable behaviour of
      *  an execution; equal hashes mean equivalent observed effects. */
@@ -266,12 +239,9 @@ class Simulator
     // Decoded path ----------------------------------------------------
     /**
      * The decoded hot loop, specialized on the timing model so the
-     * functional path carries no per-instruction timing branches, in
-     * two dispatch flavors sharing one handler-body include
-     * (interp_ops.inc). runLoopThreaded falls back to the switch body
-     * when the compiler has no computed goto.
+     * functional path carries no per-instruction timing branches;
+     * the handler bodies live in interp_ops.inc.
      */
-    template <bool Timing> int64_t runLoopThreaded();
     template <bool Timing> int64_t runLoopSwitch();
     void enterDecoded(ir::FuncId f, ir::Reg ret_dst,
                       uint64_t ret_addr);
@@ -305,7 +275,6 @@ class Simulator
     SpeculationObserver* observer_ = nullptr;
     bool timing_ = true;
     bool use_reference_ = false;
-    DispatchMode dispatch_ = defaultDispatchMode();
 
     RunStats stats_;
     uint64_t sink_hash_ = 0x9dc5;

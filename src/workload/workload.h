@@ -70,15 +70,6 @@ class Workload
      * latency of the whole unit, so this is 1 for all tests).
      */
     virtual double opsPerIteration() const { return 1.0; }
-
-    /**
-     * Whether running this workload leaves kernel state behind that
-     * could perturb a later test on the same booted image (open fds,
-     * leaked mappings, advanced pid counters...). Workloads returning
-     * false may share one booted simulator in measureSuite() instead
-     * of paying a fresh boot per test. Defaults to true (conservative).
-     */
-    virtual bool hasCrossTestState() const { return true; }
 };
 
 /** Workload assembled from closures; covers nearly every benchmark. */
@@ -88,21 +79,14 @@ class SimpleWorkload : public Workload
     using SetupFn = std::function<void(KernelHandle&)>;
     using IterFn = std::function<void(KernelHandle&, uint64_t)>;
 
-    SimpleWorkload(std::string name, SetupFn setup, IterFn iter,
-                   bool cross_test_state = true)
+    SimpleWorkload(std::string name, SetupFn setup, IterFn iter)
         : name_(std::move(name)),
           setup_(std::move(setup)),
-          iter_(std::move(iter)),
-          cross_test_state_(cross_test_state)
+          iter_(std::move(iter))
     {
     }
 
     const std::string& name() const override { return name_; }
-
-    bool hasCrossTestState() const override
-    {
-        return cross_test_state_;
-    }
 
     void
     setup(KernelHandle& k) override
@@ -121,7 +105,6 @@ class SimpleWorkload : public Workload
     std::string name_;
     SetupFn setup_;
     IterFn iter_;
-    bool cross_test_state_ = true;
 };
 
 /** The 20 LMBench latency tests of Table 2, in table order. */

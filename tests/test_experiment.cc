@@ -1,4 +1,7 @@
 /** @file Tests for the measurement harness (pibe::core::experiment). */
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "kernel/kernel.h"
@@ -93,8 +96,10 @@ TEST_F(ExperimentTest, MeasureSuiteCoversAllTests)
     core::MeasureConfig cfg;
     cfg.warmup_iters = 5;
     cfg.measure_iters = 10;
-    auto results =
-        core::measureSuite(image_->module, image_->info, suite, cfg);
+    std::map<std::string, core::Measurement> results;
+    for (const auto& wl : suite)
+        results[wl->name()] =
+            core::measureWorkload(image_->module, image_->info, *wl, cfg);
     EXPECT_EQ(results.size(), suite.size());
     for (const auto& [name, m] : results) {
         EXPECT_GT(m.latency_us, 0.0) << name;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for src/scale: the Linux-scale synthetic module generator, the
- * synthetic flow-conserving profile, and the streaming size estimators
+ * synthetic flow-conserving profile, and the streaming size estimator
  * on generated modules and on the images core::buildImage derives
  * from them.
  */
@@ -17,7 +17,6 @@
 #include "profile/serialize.h"
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
-#include "uarch/decoded_module.h"
 
 namespace pibe {
 namespace {
@@ -92,8 +91,6 @@ TEST(ScaleEstimators, StreamingSizesMatchMaterializedOnes)
     const ir::Module m = scale::buildScaleModule(smallConfig());
     EXPECT_EQ(analysis::imageSizeOf(m),
               analysis::CodeLayout(m).imageSize());
-    EXPECT_EQ(uarch::estimateDecodedBytes(m),
-              uarch::DecodedModule(m).decodedBytes());
 
     // Still equal after the pipeline reshapes the module (promoted
     // calls, inlined bodies, lowered switches).
@@ -104,8 +101,6 @@ TEST(ScaleEstimators, StreamingSizesMatchMaterializedOnes)
                          harden::DefenseConfig::all());
     EXPECT_EQ(analysis::imageSizeOf(image),
               analysis::CodeLayout(image).imageSize());
-    EXPECT_EQ(uarch::estimateDecodedBytes(image),
-              uarch::DecodedModule(image).decodedBytes());
 }
 
 } // namespace

@@ -220,32 +220,36 @@ TEST(ServeBatcher, CoalescesConcurrentCallers)
 TEST(ServeBatcher, LeaderExceptionReachesFollowers)
 {
     Batcher<int> batcher;
-    std::atomic<bool> follower_in{false};
+    // Deterministic order: the follower calls run() only once the
+    // leader's flight is open, and the leader throws only once the
+    // follower has joined it.
+    std::atomic<bool> leader_in{false};
     std::thread leader([&] {
         EXPECT_THROW(batcher.run("k",
                                  [&]() -> int {
-                                     while (!follower_in.load())
+                                     leader_in.store(true);
+                                     while (batcher.coalescedCalls() != 1)
                                          std::this_thread::yield();
-                                     std::this_thread::sleep_for(
-                                         std::chrono::milliseconds(
-                                             10));
                                      throw std::runtime_error("boom");
                                  }),
                      std::runtime_error);
     });
+    BatchRole role = BatchRole::kLeader;
+    bool follower_threw = false;
     std::thread follower([&] {
-        follower_in.store(true);
+        while (!leader_in.load())
+            std::this_thread::yield();
         try {
-            BatchRole role;
             batcher.run("k", [] { return 0; }, &role);
-            // A leader role is legal if the flight already unwound.
-            EXPECT_EQ(role, BatchRole::kLeader);
         } catch (const std::runtime_error&) {
-            // Follower of the throwing flight: expected.
+            follower_threw = true;
         }
     });
     leader.join();
     follower.join();
+    EXPECT_EQ(role, BatchRole::kFollower);
+    EXPECT_TRUE(follower_threw);
+    EXPECT_EQ(batcher.flights(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -7,8 +7,8 @@
 #
 # Default mode gates BENCH_interpreter.json artifacts (written by
 # `microbench_interpreter --interpreter-json`) on
-# decoded_minstr_per_s, the peak-window throughput of the threaded
-# fused engine. BASELINE defaults to the BENCH_interpreter.json
+# decoded_minstr_per_s, the peak-window throughput of the fused
+# decoded switch loop. BASELINE defaults to the BENCH_interpreter.json
 # committed at the repo root.
 #
 # --scale gates BENCH_scale.json artifacts (written by
