@@ -15,19 +15,6 @@ AnalysisManager::cfg(ir::FuncId f)
     return *e.cfg;
 }
 
-const DomTree&
-AnalysisManager::domTree(ir::FuncId f)
-{
-    Entry& e = entry(f);
-    if (!e.dom) {
-        e.dom = std::make_unique<DomTree>(cfg(f));
-        ++computations_;
-    } else {
-        ++hits_;
-    }
-    return *e.dom;
-}
-
 const Liveness&
 AnalysisManager::liveness(ir::FuncId f)
 {

@@ -18,7 +18,6 @@
 
 #include "check/cfg.h"
 #include "check/dataflow.h"
-#include "check/dominators.h"
 #include "check/target_sets.h"
 
 namespace pibe::check {
@@ -35,7 +34,6 @@ class AnalysisManager
 
     /** @pre func has a body (declarations have no analyses). */
     const Cfg& cfg(ir::FuncId f);
-    const DomTree& domTree(ir::FuncId f);
     const Liveness& liveness(ir::FuncId f);
     const FrameLiveness& frameLiveness(ir::FuncId f);
     const ReachingDefs& reachingDefs(ir::FuncId f);
@@ -93,7 +91,6 @@ class AnalysisManager
     struct Entry
     {
         std::unique_ptr<Cfg> cfg;
-        std::unique_ptr<DomTree> dom;
         std::unique_ptr<Liveness> live;
         std::unique_ptr<FrameLiveness> frame_live;
         std::unique_ptr<ReachingDefs> reaching;

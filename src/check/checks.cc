@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -26,7 +24,7 @@ msSince(Clock::time_point start)
         .count();
 }
 
-/** Shared emission state of one suite run. */
+/** Emission state of one audit: the whole module inline, or one shard. */
 class Runner
 {
   public:
@@ -36,37 +34,16 @@ class Runner
     {
     }
 
-    CheckReport
-    run()
-    {
-        auto timed = [this](const char* name, auto&& fn) {
-            const auto t0 = Clock::now();
-            fn();
-            report_.group_ms.emplace_back(name, msSince(t0));
-        };
-        if (opts_.verify)
-            timed("verify", [this] { runVerify(); });
-        if (opts_.lint)
-            timed("lint", [this] { runLints(); });
-        if (opts_.coverage)
-            timed("coverage", [this] { runCoverage(); });
-        if (opts_.targets)
-            timed("targets", [this] { runTargets(); });
-        if (opts_.profile_flow && opts_.profile)
-            timed("profile", [this] { runProfileFlow(); });
-        return std::move(report_);
-    }
-
     /**
      * Per-function portions of the enabled groups for [begin, end):
      * verify.function, the lints, the per-site coverage audit
-     * (accumulated into `counted`, reconciled by the caller), and the
-     * verify.targets guard-chain scan against the pre-solved `tsa`.
-     * This is the unit runChecksParallel() fans out per shard.
+     * (accumulated into `counted`, reconciled by runModuleTail), and
+     * the verify.targets guard-chain scan against the pre-solved
+     * `tsa` (null when the targets group is off).
      */
-    CheckReport
+    void
     runShard(ir::FuncId begin, ir::FuncId end, TargetSetAnalysis* tsa,
-             harden::CoverageReport* counted)
+             harden::CoverageReport& counted)
     {
         for (ir::FuncId f = begin; f < end; ++f) {
             const ir::Function& fn = module_.func(f);
@@ -83,38 +60,39 @@ class Runner
             if (opts_.lint && !fn.isDeclaration() && analyzable(f))
                 lintFunction(fn);
         }
-        if (opts_.coverage && counted)
-            coverageRange(begin, end, *counted);
-        if (opts_.targets && tsa)
+        if (opts_.coverage)
+            coverageRange(begin, end, counted);
+        if (tsa)
             targetsGuardRange(begin, end, *tsa);
-        return std::move(report_);
     }
 
     /**
      * Module-wide obligations that cannot shard: site-id uniqueness,
      * coverage reconciliation against the summed shard counts,
      * target-set seed/site checks, and profile flow. Runs serially
-     * after the shard fan-out.
+     * after every shard.
      */
-    CheckReport
+    void
     runModuleTail(TargetSetAnalysis* tsa,
-                  const harden::CoverageReport* counted)
+                  const harden::CoverageReport& counted)
     {
         if (opts_.verify) {
             for (const std::string& p :
                  ir::verifyModuleSiteIds(module_))
                 emit("verify.sites", Severity::kError, p);
         }
-        if (opts_.coverage && counted)
-            reconcile(*counted);
-        if (opts_.targets && tsa) {
+        if (opts_.coverage)
+            reconcile(counted);
+        if (tsa) {
             targetsBadSlots(*tsa);
             targetsModuleSites(*tsa);
         }
         if (opts_.profile_flow && opts_.profile)
             runProfileFlow();
-        return std::move(report_);
     }
+
+    /** Everything emitted so far, in emission order. */
+    std::vector<Diagnostic> take() { return std::move(diags_); }
 
   private:
     // --- emission helpers -------------------------------------------
@@ -126,8 +104,8 @@ class Runner
         d.check_id = id;
         d.severity = sev;
         d.message = std::move(message);
-        report_.diags.push_back(std::move(d));
-        return report_.diags.back();
+        diags_.push_back(std::move(d));
+        return diags_.back();
     }
 
     Diagnostic&
@@ -167,36 +145,7 @@ class Runner
                          f.name) != opts_.allowed_funcs.end();
     }
 
-    // --- verify group -----------------------------------------------
-
-    void
-    runVerify()
-    {
-        for (const ir::Function& f : module_.functions()) {
-            auto problems = ir::verifyFunction(module_, f);
-            broken_[f.id] = !problems.empty();
-            for (const std::string& p : problems) {
-                Diagnostic& d =
-                    emit("verify.function", Severity::kError, p);
-                d.func = f.id;
-                d.func_name = f.name;
-            }
-        }
-        for (const std::string& p : ir::verifyModuleSiteIds(module_))
-            emit("verify.sites", Severity::kError, p);
-    }
-
     // --- lint group -------------------------------------------------
-
-    void
-    runLints()
-    {
-        for (const ir::Function& f : module_.functions()) {
-            if (f.isDeclaration() || !analyzable(f.id))
-                continue;
-            lintFunction(f);
-        }
-    }
 
     void
     lintFunction(const ir::Function& f)
@@ -358,15 +307,6 @@ class Runner
     }
 
     // --- coverage group ---------------------------------------------
-
-    void
-    runCoverage()
-    {
-        harden::CoverageReport counted; // our recount, all sites
-        coverageRange(0, static_cast<ir::FuncId>(module_.numFunctions()),
-                      counted);
-        reconcile(counted);
-    }
 
     void
     coverageRange(ir::FuncId begin, ir::FuncId end,
@@ -548,35 +488,14 @@ class Runner
 
     // --- targets group ----------------------------------------------
 
-    /**
-     * Feasible-target validation (module-wide; see target_sets.h):
-     *
-     *  - verify.targets on global initializer slots that decode to
-     *    nonexistent functions (the op-table analogue of a corrupt
-     *    jump-table entry);
-     *  - verify.targets translation validation of ICP guard chains:
-     *    a block ending [funcaddr T; eq(ptr, addr); condbr] whose
-     *    taken block starts with a direct call to T is (shaped like)
-     *    a promotion of T at an icall through `ptr` — if the
-     *    analysis resolved `ptr` completely, T must be feasible;
-     *  - verify.targets on complete-and-empty icall sites (the call
-     *    can never resolve: dead dispatch or a seeding bug);
-     *  - coverage.targets: with a profile, every observed target of a
-     *    completely-resolved site must be inside its static set
-     *    (catches corrupt profiles and pass bugs the Kirchhoff
-     *    checker cannot see).
-     */
-    void
-    runTargets()
-    {
-        TargetSetAnalysis& tsa = am_.targetSets(opts_.roots);
-        targetsBadSlots(tsa);
-        targetsGuardRange(0,
-                          static_cast<ir::FuncId>(module_.numFunctions()),
-                          tsa);
-        targetsModuleSites(tsa);
-    }
+    // Feasible-target validation (module-wide; see target_sets.h),
+    // against a target-set analysis solved before any shard runs.
 
+    /**
+     * verify.targets on global initializer slots that decode to
+     * nonexistent functions (the op-table analogue of a corrupt
+     * jump-table entry).
+     */
     void
     targetsBadSlots(TargetSetAnalysis& tsa)
     {
@@ -593,6 +512,13 @@ class Runner
         }
     }
 
+    /**
+     * verify.targets translation validation of ICP guard chains: a
+     * block ending [funcaddr T; eq(ptr, addr); condbr] whose taken
+     * block starts with a direct call to T is (shaped like) a
+     * promotion of T at an icall through `ptr` — if the analysis
+     * resolved `ptr` completely, T must be feasible.
+     */
     void
     targetsGuardRange(ir::FuncId begin, ir::FuncId end,
                       TargetSetAnalysis& tsa)
@@ -647,6 +573,14 @@ class Runner
         }
     }
 
+    /**
+     * verify.targets on complete-and-empty icall sites (the call can
+     * never resolve: dead dispatch or a seeding bug), and
+     * coverage.targets: with a profile, every observed target of a
+     * completely-resolved site must be inside its static set (catches
+     * corrupt profiles and pass bugs the Kirchhoff checker cannot
+     * see).
+     */
     void
     targetsModuleSites(TargetSetAnalysis& tsa)
     {
@@ -886,11 +820,100 @@ class Runner
     const ir::Module& module_;
     const CheckOptions& opts_;
     AnalysisManager& am_;
-    CheckReport report_;
+    std::vector<Diagnostic> diags_;
     std::unordered_map<ir::FuncId, bool> broken_;
     std::vector<ir::Reg> uses_;
     std::vector<size_t> def_ids_;
 };
+
+void
+append(std::vector<Diagnostic>& to, std::vector<Diagnostic> from)
+{
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+}
+
+void
+addCounts(harden::CoverageReport& total, const harden::CoverageReport& c)
+{
+    total.protected_icalls += c.protected_icalls;
+    total.vulnerable_icalls += c.vulnerable_icalls;
+    total.vulnerable_ijumps += c.vulnerable_ijumps;
+    total.protected_rets += c.protected_rets;
+    total.boot_only_rets += c.boot_only_rets;
+}
+
+/**
+ * The one audit driver behind runChecks() and runChecksParallel().
+ * Solves the target sets once, runs the per-function shards — inline
+ * on the calling thread against `am` when `pool` is null, otherwise
+ * fanned out over `pool` with a private AnalysisManager per shard —
+ * then the module tail on `am`, and returns the diagnostics sorted.
+ * A null `am` means a private manager.
+ */
+CheckReport
+audit(const ir::Module& module, const CheckOptions& opts,
+      AnalysisManager* am, runtime::ThreadPool* pool, size_t shard_size)
+{
+    std::optional<AnalysisManager> local;
+    if (!am)
+        am = &local.emplace(module);
+    PIBE_ASSERT(&am->module() == &module,
+                "AnalysisManager wraps a different module");
+    CheckReport out;
+
+    // Solve the module-wide target-set fixpoint once, serially; the
+    // shards only read it (see TargetSetAnalysis::ensureSolved).
+    TargetSetAnalysis* tsa = nullptr;
+    if (opts.targets) {
+        const auto t0 = Clock::now();
+        tsa = &am->targetSets(opts.roots);
+        tsa->ensureSolved();
+        out.group_ms.emplace_back("targets.solve", msSince(t0));
+    }
+
+    const auto n = static_cast<ir::FuncId>(module.numFunctions());
+    Runner runner(module, opts, *am);
+    harden::CoverageReport counted;
+    const auto t1 = Clock::now();
+    if (!pool) {
+        runner.runShard(0, n, tsa, counted);
+    } else {
+        const auto step =
+            static_cast<ir::FuncId>(std::max<size_t>(1, shard_size));
+        const size_t num_shards = n == 0 ? 0 : (n + step - 1) / step;
+        std::vector<std::vector<Diagnostic>> diags(num_shards);
+        std::vector<harden::CoverageReport> counts(num_shards);
+        runtime::JobGraph graph;
+        for (size_t s = 0; s < num_shards; ++s) {
+            const auto begin = static_cast<ir::FuncId>(s * step);
+            const ir::FuncId end = std::min<ir::FuncId>(begin + step, n);
+            graph.add("check/" + std::to_string(s),
+                      [&module, &opts, &diags, &counts, tsa, begin, end,
+                       s](const runtime::JobContext&) {
+                          AnalysisManager shard_am(module);
+                          Runner r(module, opts, shard_am);
+                          r.runShard(begin, end, tsa, counts[s]);
+                          diags[s] = r.take();
+                      });
+        }
+        graph.run(*pool);
+        for (size_t s = 0; s < num_shards; ++s) {
+            append(out.diags, std::move(diags[s]));
+            addCounts(counted, counts[s]);
+        }
+    }
+    out.group_ms.emplace_back("shards.parallel", msSince(t1));
+
+    const auto t2 = Clock::now();
+    runner.runModuleTail(tsa, counted);
+    append(out.diags, runner.take());
+    // Canonical order: emission order depends on the shard size, so
+    // it must not leak into reports, JSON or sandwich attribution.
+    sortDiagnostics(out.diags);
+    out.group_ms.emplace_back("module.serial", msSince(t2));
+    return out;
+}
 
 } // namespace
 
@@ -898,13 +921,7 @@ CheckReport
 runChecks(const ir::Module& module, const CheckOptions& opts,
           AnalysisManager* am)
 {
-    if (am) {
-        PIBE_ASSERT(&am->module() == &module,
-                    "AnalysisManager wraps a different module");
-        return Runner(module, opts, *am).run();
-    }
-    AnalysisManager local(module);
-    return Runner(module, opts, local).run();
+    return audit(module, opts, am, nullptr, 0);
 }
 
 CheckReport
@@ -912,73 +929,7 @@ runChecksParallel(const ir::Module& module, const CheckOptions& opts,
                   runtime::ThreadPool& pool, size_t shard_size,
                   AnalysisManager* am)
 {
-    AnalysisManager local(module);
-    AnalysisManager& shared = am ? *am : local;
-    if (am)
-        PIBE_ASSERT(&am->module() == &module,
-                    "AnalysisManager wraps a different module");
-
-    CheckReport out;
-
-    // Solve the module-wide target-set fixpoint once, serially; the
-    // shard jobs only read it (see TargetSetAnalysis::ensureSolved).
-    TargetSetAnalysis* tsa = nullptr;
-    if (opts.targets) {
-        const auto t0 = Clock::now();
-        tsa = &shared.targetSets(opts.roots);
-        tsa->ensureSolved();
-        out.group_ms.emplace_back("targets.solve", msSince(t0));
-    }
-
-    const auto n = static_cast<ir::FuncId>(module.numFunctions());
-    const auto step =
-        static_cast<ir::FuncId>(std::max<size_t>(1, shard_size));
-    const size_t num_shards = n == 0 ? 0 : (n + step - 1) / step;
-    std::vector<CheckReport> reports(num_shards);
-    std::vector<harden::CoverageReport> counts(num_shards);
-
-    const auto t1 = Clock::now();
-    runtime::JobGraph graph;
-    for (size_t s = 0; s < num_shards; ++s) {
-        const auto begin = static_cast<ir::FuncId>(s * step);
-        const ir::FuncId end = std::min<ir::FuncId>(begin + step, n);
-        graph.add("check/" + std::to_string(s),
-                  [&module, &opts, &reports, &counts, tsa, begin, end,
-                   s](const runtime::JobContext&) {
-                      AnalysisManager shard_am(module);
-                      Runner r(module, opts, shard_am);
-                      reports[s] =
-                          r.runShard(begin, end, tsa, &counts[s]);
-                  });
-    }
-    graph.run(pool);
-    out.group_ms.emplace_back("shards.parallel", msSince(t1));
-
-    // FuncId-ordered merge: shard s covers a lower function range than
-    // shard s+1, so concatenation is deterministic and scheduling
-    // never leaks into the report.
-    const auto t2 = Clock::now();
-    for (size_t s = 0; s < num_shards; ++s) {
-        out.diags.insert(out.diags.end(),
-                         std::make_move_iterator(reports[s].diags.begin()),
-                         std::make_move_iterator(reports[s].diags.end()));
-    }
-    harden::CoverageReport total;
-    for (const harden::CoverageReport& c : counts) {
-        total.protected_icalls += c.protected_icalls;
-        total.vulnerable_icalls += c.vulnerable_icalls;
-        total.vulnerable_ijumps += c.vulnerable_ijumps;
-        total.protected_rets += c.protected_rets;
-        total.boot_only_rets += c.boot_only_rets;
-    }
-    Runner tail(module, opts, shared);
-    CheckReport tail_rep =
-        tail.runModuleTail(tsa, opts.coverage ? &total : nullptr);
-    out.diags.insert(out.diags.end(),
-                     std::make_move_iterator(tail_rep.diags.begin()),
-                     std::make_move_iterator(tail_rep.diags.end()));
-    out.group_ms.emplace_back("module.serial", msSince(t2));
-    return out;
+    return audit(module, opts, am, &pool, shard_size);
 }
 
 std::optional<Severity>

@@ -91,12 +91,14 @@ struct CheckOptions
 /** Result of one suite run. */
 struct CheckReport
 {
+    /** In canonical order (sortDiagnostics()). */
     std::vector<Diagnostic> diags;
 
     /**
-     * Wall time per checker phase, in run order (`pibe check
-     * --timing`). Serial runs record one entry per group; parallel
-     * runs record the solve / fan-out / serial-tail phases.
+     * Wall time per audit phase, in run order (`pibe check --timing`):
+     * `targets.solve` (only with the targets group on),
+     * `shards.parallel` (the per-function checks) and `module.serial`
+     * (the module-wide tail). Same names at every pool size.
      */
     std::vector<std::pair<std::string, double>> group_ms;
 
@@ -119,25 +121,27 @@ struct CheckReport
 };
 
 /**
- * Run the selected checker groups over `module`. Analyses are cached
- * in `am` when provided (it must wrap the same module); otherwise a
- * private manager is used.
+ * Run the selected checker groups over `module` in three phases:
+ * solve the target-set fixpoint once (targets group only), run the
+ * per-function checks (verify.function, the lint.* sweep, the per-site
+ * coverage audit, the verify.targets ICP guard-chain scan) as one
+ * shard over every function, then the module-wide obligations
+ * (site-id uniqueness, coverage reconciliation, target-set
+ * seeding/site checks, profile flow). Everything runs on the calling
+ * thread. Analyses are cached in `am` when provided (it must wrap the
+ * same module); otherwise a private manager is used. Diagnostics come
+ * back in canonical order (sortDiagnostics()).
  */
 CheckReport runChecks(const ir::Module& module, const CheckOptions& opts,
                       AnalysisManager* am = nullptr);
 
 /**
- * Parallel variant of runChecks(): the per-function checker groups
- * (verify.function, the lint.* sweep, the per-site coverage audit,
- * and the verify.targets ICP guard-chain scan) fan out as JobGraph
- * shard jobs over `pool`, each with a private AnalysisManager, while
- * the module-wide obligations (site-id uniqueness, coverage
- * reconciliation, target-set seeding/site checks, profile flow) run
- * serially afterwards. The target-set fixpoint is solved once, before
- * the fan-out, and only read by the shards. Shard reports merge in
- * FuncId order, so the result is the same diagnostic multiset as
- * runChecks() — after sortDiagnostics() the two are byte-identical at
- * every pool size.
+ * runChecks() with the per-function checks cut into shards of
+ * `shard_size` functions and fanned out as JobGraph jobs over `pool`,
+ * each shard with a private AnalysisManager; the target-set solve and
+ * the module-wide tail still run on the calling thread, against `am`
+ * when provided. At every pool and shard size the diagnostics are
+ * byte-identical to runChecks()'s and the phase names are the same.
  */
 CheckReport runChecksParallel(const ir::Module& module,
                               const CheckOptions& opts,
@@ -161,9 +165,11 @@ struct CheckOutcome
 std::optional<Severity> severityFromName(std::string_view name);
 
 /**
- * runChecks() plus the pass/fail policy. This is the single gate
- * shared by the `pibe check` CLI and the in-process serve path, so
- * a `fail_on` threshold means the same exit verdict everywhere.
+ * runChecks() plus the pass/fail policy, CheckReport::ok(fail_on).
+ * `pibe surface` and the serve daemon gate through it, and `pibe
+ * check` applies the same ok() to the identical runChecksParallel()
+ * report, so a `fail_on` threshold means the same exit verdict
+ * everywhere.
  */
 CheckOutcome runChecksWithPolicy(const ir::Module& module,
                                  const CheckOptions& opts,

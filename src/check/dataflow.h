@@ -277,12 +277,6 @@ class ReachingDefs
 
     const std::vector<Def>& defs() const { return defs_; }
 
-    /** Defs reaching the *entry* of block `b`. */
-    const BitVector& reachingIn(ir::BlockId b) const
-    {
-        return result_.in[b];
-    }
-
     /**
      * Ids of defs of `reg` that reach instruction `index` of block `b`
      * (before the instruction executes).

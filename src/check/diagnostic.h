@@ -66,8 +66,8 @@ size_t countSeverity(const std::vector<Diagnostic>& diags, Severity s);
  * Sort diagnostics into the canonical emission order: (function,
  * block, instruction, check id, site, message), module-scoped
  * findings last. Checkers emit in whatever order they traverse, which
- * differs between serial and sharded parallel runs; sorting at the
- * output boundary makes `pibe check --json` and sandwich reports diff
+ * depends on the shard size; runChecks() and runChecksParallel() sort
+ * before returning, so `pibe check --json` and sandwich reports diff
  * cleanly across `--jobs` settings. Stable, so equal-keyed findings
  * keep their emission order.
  */

@@ -75,13 +75,4 @@ PassSandwich::afterPass(const std::string& pass,
     return stages_.back();
 }
 
-std::vector<Diagnostic>
-PassSandwich::allFresh() const
-{
-    std::vector<Diagnostic> out;
-    for (const StageResult& s : stages_)
-        out.insert(out.end(), s.fresh.begin(), s.fresh.end());
-    return out;
-}
-
 } // namespace pibe::check

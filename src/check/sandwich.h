@@ -61,9 +61,6 @@ class PassSandwich
 
     const std::vector<StageResult>& stages() const { return stages_; }
 
-    /** Fresh diagnostics of every stage, in stage order. */
-    std::vector<Diagnostic> allFresh() const;
-
   private:
     std::vector<StageResult> stages_;
     /** Location keys seen at the previous stage. */

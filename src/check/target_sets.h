@@ -155,8 +155,9 @@ class TargetSetAnalysis
      * next invalidateFunction/invalidateAll call — the
      * query methods (sites, site, regTargets, addressTaken,
      * badGlobalSlots) only read solved state and are safe to call
-     * from multiple threads concurrently (runChecksParallel
-     * pre-solves serially, then shares one instance across shards).
+     * from multiple threads concurrently (runChecks and
+     * runChecksParallel pre-solve serially, then share one instance
+     * across shards).
      */
     void ensureSolved() { sites(); }
 

@@ -153,7 +153,6 @@ class Simulator
     /** Running hash of all kSink values — the observable behaviour of
      *  an execution; equal hashes mean equivalent observed effects. */
     uint64_t sinkHash() const { return sink_hash_; }
-    void resetSinkHash() { sink_hash_ = 0x9dc5; }
 
     const analysis::CodeLayout& layout() const
     {

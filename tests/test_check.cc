@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the src/check static-analysis framework and audit suite:
- * CFG/dominator/dataflow analyses, the AnalysisManager cache, the four
+ * CFG/dataflow analyses, the AnalysisManager cache, the four
  * checker groups (expect-style: known-bad snippets must yield exact
  * diagnostic ids at exact locations; known-good modules must be
  * finding-free), the extended verifier, and the pipeline pass
@@ -114,27 +114,6 @@ TEST(Cfg, LoopBlocksAreInCycle)
     EXPECT_TRUE(cfg.inCycle(head));
     EXPECT_TRUE(cfg.inCycle(body));
     EXPECT_FALSE(cfg.inCycle(exit));
-}
-
-TEST(DomTree, DiamondDominance)
-{
-    ir::Module m = diamondModule();
-    check::Cfg cfg(m.func(0));
-    check::DomTree dom(cfg);
-
-    EXPECT_EQ(dom.idom(1), 0u);
-    EXPECT_EQ(dom.idom(2), 0u);
-    EXPECT_EQ(dom.idom(3), 0u); // join's idom is the branch, not a side
-    EXPECT_TRUE(dom.dominates(0, 3));
-    EXPECT_FALSE(dom.dominates(1, 3));
-    EXPECT_TRUE(dom.dominates(1, 1));
-    EXPECT_EQ(dom.idom(4), check::DomTree::kNoIdom);
-
-    auto kids = dom.children(0);
-    std::sort(kids.begin(), kids.end());
-    EXPECT_EQ(kids, (std::vector<ir::BlockId>{1, 2, 3}));
-    EXPECT_EQ(dom.depth(0), 0u);
-    EXPECT_EQ(dom.depth(3), 1u);
 }
 
 TEST(Dataflow, LivenessAcrossDiamond)
@@ -565,6 +544,50 @@ TEST(Coverage, UnreachableSiteIsNoteOnly)
     CheckReport report = check::runChecks(m, opts);
     EXPECT_EQ(report.errors(), 0u) << renderText(report.diags);
     EXPECT_EQ(withId(report, "coverage.unreachable-site").size(), 1u);
+}
+
+// runChecks emits group by group (every function's verify and lint
+// findings, then every function's coverage findings, then the module
+// tail) but returns them in canonical order.
+TEST(Checks, RunChecksReturnsCanonicalOrder)
+{
+    ir::Module m = surfaceModule(); // unhardened: coverage findings
+    {
+        ir::FuncId f = m.addFunction("dead", 1);
+        ir::FunctionBuilder b(m, f);
+        b.constI(42); // lint.dead-store
+        b.ret(b.param(0));
+    }
+    {
+        ir::FuncId f = m.addFunction("broken", 0);
+        ir::FunctionBuilder b(m, f);
+        b.ret();
+        m.func(f).blocks[0].insts.pop_back(); // verify.function
+    }
+
+    CheckOptions opts;
+    opts.coverage = true;
+    opts.defense = harden::DefenseConfig::all();
+    const CheckReport report = check::runChecks(m, opts);
+
+    std::vector<std::string> groups;
+    std::vector<ir::FuncId> funcs;
+    for (const Diagnostic& d : report.diags) {
+        groups.push_back(d.check_id.substr(0, d.check_id.find('.')));
+        funcs.push_back(d.func);
+    }
+    for (const char* group : {"verify", "lint", "coverage"}) {
+        EXPECT_NE(std::find(groups.begin(), groups.end(), group),
+                  groups.end())
+            << group << "\n"
+            << renderText(report.diags);
+    }
+    std::sort(funcs.begin(), funcs.end());
+    EXPECT_GE(std::unique(funcs.begin(), funcs.end()) - funcs.begin(), 2);
+
+    std::vector<Diagnostic> sorted = report.diags;
+    check::sortDiagnostics(sorted);
+    EXPECT_EQ(renderText(report.diags), renderText(sorted));
 }
 
 // --- profile group --------------------------------------------------
@@ -1001,9 +1024,10 @@ TEST(DataflowCursors, StreamingMatchesReplayOracles)
 
 // --- the parallel check sandwich ------------------------------------
 
-// runChecksParallel must produce the same sorted diagnostic list as
-// runChecks at every pool size and shard size, on a module seeded
-// with real findings (dead stores, uninitialized uses, bad coverage).
+// runChecksParallel must return the same diagnostics, in the same
+// order, as the inline runChecks at every pool size and shard size, on
+// a module seeded with real findings (dead stores, uninitialized uses,
+// bad coverage).
 TEST(ParallelChecks, IdenticalToSerialAtEveryPoolAndShardSize)
 {
     test::GenConfig gcfg;
@@ -1016,25 +1040,33 @@ TEST(ParallelChecks, IdenticalToSerialAtEveryPoolAndShardSize)
     opts.targets = true;
     opts.defense = harden::DefenseConfig::all();
 
-    CheckReport serial = check::runChecks(m, opts);
-    check::sortDiagnostics(serial.diags);
-    ASSERT_FALSE(serial.diags.empty());
-    const std::string want = check::renderText(serial.diags);
+    const CheckReport inline_run = check::runChecks(m, opts);
+    ASSERT_FALSE(inline_run.diags.empty());
+    const std::string want = check::renderText(inline_run.diags);
 
     for (size_t pool_size : {1u, 2u, 8u}) {
         for (size_t shard : {1u, 3u, 64u}) {
             runtime::ThreadPool pool(pool_size);
-            CheckReport par =
+            const CheckReport pooled =
                 check::runChecksParallel(m, opts, pool, shard);
-            check::sortDiagnostics(par.diags);
-            EXPECT_EQ(check::renderText(par.diags), want)
+            EXPECT_EQ(check::renderText(pooled.diags), want)
                 << "pool " << pool_size << " shard " << shard;
         }
     }
 }
 
+/** Phase names of `report`, in run order. */
+std::vector<std::string>
+phaseNames(const CheckReport& report)
+{
+    std::vector<std::string> names;
+    for (const auto& [name, ms] : report.group_ms)
+        names.push_back(name);
+    return names;
+}
+
 // A clean hardened kernel must stay clean through the parallel
-// sandwich, and the shared-analysis phase timings must be populated.
+// sandwich, and both entry points report the same three phases.
 TEST(ParallelChecks, CleanKernelStaysCleanAndTimed)
 {
     kernel::KernelConfig kcfg;
@@ -1048,27 +1080,19 @@ TEST(ParallelChecks, CleanKernelStaysCleanAndTimed)
     opts.defense = harden::DefenseConfig::all();
 
     runtime::ThreadPool pool(4);
-    CheckReport par = check::runChecksParallel(m, opts, pool, 2);
-    check::sortDiagnostics(par.diags);
+    const CheckReport par = check::runChecksParallel(m, opts, pool, 2);
     EXPECT_EQ(par.errors(), 0u)
         << (par.diags.empty() ? std::string()
                               : par.diags.front().render());
 
-    CheckReport serial = check::runChecks(m, opts);
-    check::sortDiagnostics(serial.diags);
+    const CheckReport serial = check::runChecks(m, opts);
     EXPECT_EQ(check::renderText(par.diags),
               check::renderText(serial.diags));
 
-    // The parallel runner reports its phase boundaries.
-    std::vector<std::string> names;
-    for (const auto& [name, ms] : par.group_ms)
-        names.push_back(name);
-    EXPECT_NE(std::find(names.begin(), names.end(),
-                        "targets.solve"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(),
-                        "shards.parallel"),
-              names.end());
+    const std::vector<std::string> want = {
+        "targets.solve", "shards.parallel", "module.serial"};
+    EXPECT_EQ(phaseNames(par), want);
+    EXPECT_EQ(phaseNames(serial), want);
 }
 
 } // namespace

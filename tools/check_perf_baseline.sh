@@ -6,10 +6,13 @@
 #   tools/check_perf_baseline.sh --scale NEW_SCALE.json [BASELINE.json]
 #
 # Default mode gates BENCH_interpreter.json artifacts (written by
-# `microbench_interpreter --interpreter-json`) on
-# decoded_minstr_per_s, the peak-window throughput of the fused
-# decoded switch loop. BASELINE defaults to the BENCH_interpreter.json
-# committed at the repo root.
+# `microbench_interpreter --interpreter-json`) on `speedup`: the
+# peak-window throughput of the fused decoded switch loop over that of
+# the reference loop, both measured in the same run on the same host.
+# The ratio, unlike an absolute Minstr/s, does not move with the speed
+# of the runner, so a baseline recorded on one CPU can gate another.
+# It cannot see a slowdown that hits both loops equally. BASELINE
+# defaults to the BENCH_interpreter.json committed at the repo root.
 #
 # --scale gates BENCH_scale.json artifacts (written by
 # `pibe scalebench`): the serial build-and-audit time of the
@@ -22,10 +25,10 @@
 # every serial-vs-parallel comparison (image digest and sorted
 # diagnostics) must have matched.
 #
-# The 10% margin absorbs run-to-run noise on shared CI runners (the
-# interpreter benchmark already reports a peak window, which removes
-# most scheduler-induced variance); a real regression shows up far
-# larger than that.
+# The 10% speedup margin absorbs run-to-run noise on shared CI runners
+# (the interpreter benchmark already reports a peak window, which
+# removes most scheduler-induced variance); a real regression of the
+# decoded loop shows up far larger than that.
 set -euo pipefail
 
 MODE=interpreter
@@ -82,26 +85,25 @@ fi
 BASELINE="${2:-$(dirname "$0")/../BENCH_interpreter.json}"
 MARGIN="${PIBE_PERF_MARGIN:-0.90}"
 
-extract() {
-    python3 - "$1" <<'EOF'
+python3 - "$NEW" "$BASELINE" "$MARGIN" <<'EOF'
 import json, sys
-with open(sys.argv[1]) as f:
-    print(json.load(f)["decoded_minstr_per_s"])
-EOF
-}
 
-new_rate=$(extract "$NEW")
-base_rate=$(extract "$BASELINE")
+new_path, base_path, margin = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-python3 - "$new_rate" "$base_rate" "$MARGIN" <<'EOF'
-import sys
-new, base, margin = map(float, sys.argv[1:4])
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+new_doc, base_doc = load(new_path), load(base_path)
+new, base = new_doc["speedup"], base_doc["speedup"]
 floor = base * margin
-print(f"decoded_minstr_per_s: measured {new:.1f}, "
-      f"baseline {base:.1f}, floor {floor:.1f} "
+print(f"speedup (decoded / reference): measured {new:.3f} "
+      f"({new_doc['decoded_minstr_per_s']:.1f} / "
+      f"{new_doc['reference_minstr_per_s']:.1f} Minstr/s), "
+      f"baseline {base:.3f}, floor {floor:.3f} "
       f"({margin:.0%} of baseline)")
 if new < floor:
-    print("FAIL: interpreter throughput regressed "
+    print("FAIL: decoded interpreter speedup regressed "
           f"{(1 - new / base):.1%} below the checked-in baseline",
           file=sys.stderr)
     sys.exit(1)

@@ -799,29 +799,16 @@ cmdCheck(Args& args)
     const size_t jobs =
         std::max<size_t>(1, args.getUnsigned("--jobs", "1"));
 
-    // The shared policy gate: CLI, in-process engine callers, and the
-    // serve daemon all decide pass/fail through runChecksWithPolicy,
-    // so --fail-on semantics cannot drift between entry points. With
-    // --jobs > 1 the per-function groups fan out over a thread pool;
-    // the sorted report is byte-identical at every jobs count.
+    // The per-function checks fan out over a pool of `jobs` workers;
+    // the report is byte-identical at every jobs count, and pass/fail
+    // is the ok() verdict runChecksWithPolicy gives the serve daemon.
     check::AnalysisManager am(m);
-    check::CheckOutcome outcome;
-    outcome.fail_on = *threshold;
-    if (jobs > 1) {
-        runtime::ThreadPool pool(jobs);
-        outcome.report =
-            check::runChecksParallel(m, opts, pool, 64, &am);
-        outcome.passed = outcome.report.ok(*threshold);
-    } else {
-        outcome = check::runChecksWithPolicy(m, opts, *threshold, &am);
-    }
-    // Canonical emission order: checkers append group-by-group, so
-    // without this the order would leak scheduling details into the
-    // JSON consumed by CI diffs.
-    check::sortDiagnostics(outcome.report.diags);
-    const check::CheckReport& report = outcome.report;
+    runtime::ThreadPool pool(jobs);
+    const check::CheckReport report =
+        check::runChecksParallel(m, opts, pool, 64, &am);
+    const bool passed = report.ok(*threshold);
 
-    // --timing: per-checker wall times plus the target-set solver
+    // --timing: per-phase wall times plus the target-set solver
     // counters, as one JSON object (merged into BENCH_scale.json by
     // tools/run_all_tables.sh when requested).
     std::string timing_json;
@@ -854,7 +841,7 @@ cmdCheck(Args& args)
                     "\"passed\":%s,%s\"diagnostics\":%s}\n",
                     check::jsonEscape(path).c_str(), report.errors(),
                     report.warnings(), report.notes(),
-                    outcome.passed ? "true" : "false",
+                    passed ? "true" : "false",
                     timing_json.empty()
                         ? ""
                         : ("\"timing\":" + timing_json + ",").c_str(),
@@ -867,7 +854,7 @@ cmdCheck(Args& args)
                     path.c_str(), report.errors(), report.warnings(),
                     report.notes());
     }
-    return outcome.passed ? 0 : 1;
+    return passed ? 0 : 1;
 }
 
 /**
@@ -911,7 +898,6 @@ cmdSurface(Args& args)
     check::AnalysisManager am(m);
     check::CheckOutcome outcome =
         check::runChecksWithPolicy(m, opts, *threshold, &am);
-    check::sortDiagnostics(outcome.report.diags);
     if (!outcome.report.diags.empty())
         std::printf("%s",
                     check::renderText(outcome.report.diags).c_str());
@@ -1013,7 +999,7 @@ struct ScaleLeg
     uint32_t inlined_sites = 0;
     uint64_t baseline_image_size = 0;
     uint64_t image_size = 0;
-    check::CheckReport checks; ///< Sorted diagnostics.
+    check::CheckReport checks;
     std::string digest;        ///< core::moduleDigest of the image.
     double build_ms = 0;       ///< core::buildImage, wall.
     double check_ms = 0;       ///< check::runChecksParallel, wall.
@@ -1044,7 +1030,6 @@ runScaleLeg(const ir::Module& m, const profile::EdgeProfile& prof,
     copts.defense = harden::DefenseConfig::all();
     leg.checks = check::runChecksParallel(image, copts, pool);
     const Clock::time_point t2 = Clock::now();
-    check::sortDiagnostics(leg.checks.diags);
     leg.digest = core::moduleDigest(image);
     leg.promoted_sites = rep.icp.promoted_sites;
     leg.inlined_sites = rep.inlining.inlined_sites;
