@@ -6,8 +6,7 @@
  * want reachability; the dead-store and use-before-def lints both sit
  * on liveness/assignment facts), so the manager computes each analysis
  * lazily, once per function, and hands out const references. A pass
- * that mutates a function must invalidate() it (or invalidateAll()
- * after a module-wide pass) before querying again.
+ * that mutates a function must invalidate() it before querying again.
  */
 #ifndef PIBE_CHECK_ANALYSIS_MANAGER_H_
 #define PIBE_CHECK_ANALYSIS_MANAGER_H_
@@ -69,16 +68,6 @@ class AnalysisManager
             entries_[f] = Entry{};
         if (targets_)
             targets_->invalidateFunction(f);
-    }
-
-    /** Drop all cached analyses (call after a module-wide pass). */
-    void
-    invalidateAll()
-    {
-        for (Entry& e : entries_)
-            e = Entry{};
-        if (targets_)
-            targets_->invalidateAll();
     }
 
     /** Analyses computed since construction (cache-miss counter). */

@@ -1,7 +1,6 @@
 #include "check/checks.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <unordered_map>
 
@@ -9,20 +8,11 @@
 #include "ir/verifier.h"
 #include "runtime/job_graph.h"
 #include "runtime/thread_pool.h"
+#include "support/timer.h"
 
 namespace pibe::check {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                     start)
-        .count();
-}
 
 /** Emission state of one audit: the whole module inline, or one shard. */
 class Runner
@@ -861,21 +851,20 @@ audit(const ir::Module& module, const CheckOptions& opts,
     PIBE_ASSERT(&am->module() == &module,
                 "AnalysisManager wraps a different module");
     CheckReport out;
+    Stopwatch phase;
 
     // Solve the module-wide target-set fixpoint once, serially; the
     // shards only read it (see TargetSetAnalysis::ensureSolved).
     TargetSetAnalysis* tsa = nullptr;
     if (opts.targets) {
-        const auto t0 = Clock::now();
         tsa = &am->targetSets(opts.roots);
         tsa->ensureSolved();
-        out.group_ms.emplace_back("targets.solve", msSince(t0));
+        out.group_ms.emplace_back("targets.solve", phase.lapMs());
     }
 
     const auto n = static_cast<ir::FuncId>(module.numFunctions());
     Runner runner(module, opts, *am);
     harden::CoverageReport counted;
-    const auto t1 = Clock::now();
     if (!pool) {
         runner.runShard(0, n, tsa, counted);
     } else {
@@ -903,15 +892,14 @@ audit(const ir::Module& module, const CheckOptions& opts,
             addCounts(counted, counts[s]);
         }
     }
-    out.group_ms.emplace_back("shards.parallel", msSince(t1));
+    out.group_ms.emplace_back("shards.parallel", phase.lapMs());
 
-    const auto t2 = Clock::now();
     runner.runModuleTail(tsa, counted);
     append(out.diags, runner.take());
     // Canonical order: emission order depends on the shard size, so
     // it must not leak into reports, JSON or sandwich attribution.
     sortDiagnostics(out.diags);
-    out.group_ms.emplace_back("module.serial", msSince(t2));
+    out.group_ms.emplace_back("module.serial", phase.lapMs());
     return out;
 }
 

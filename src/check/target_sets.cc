@@ -14,7 +14,6 @@
 #include "check/target_sets.h"
 
 #include <algorithm>
-#include <chrono>
 #include <iomanip>
 #include <iterator>
 #include <sstream>
@@ -69,14 +68,6 @@ TargetSetAnalysis::invalidateFunction(ir::FuncId f)
 {
     if (f < summaries_.size())
         summaries_[f].dirty = true;
-    solved_ = false;
-}
-
-void
-TargetSetAnalysis::invalidateAll()
-{
-    for (FuncSummary& s : summaries_)
-        s.dirty = true;
     solved_ = false;
 }
 
@@ -322,7 +313,6 @@ TargetSetAnalysis::solve()
     const uint32_t n = num_nodes_;
     stats_ = SolverStats{};
     stats_.nodes = n;
-    auto t0 = std::chrono::steady_clock::now();
 
     pts_.assign(n, {});
     incomplete_.assign(n, false);
@@ -580,9 +570,6 @@ TargetSetAnalysis::solve()
             sites_.emplace(out.site, std::move(out));
     }
 
-    stats_.solve_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
     solved_ = true;
 }
 

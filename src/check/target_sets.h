@@ -108,9 +108,8 @@ struct BadGlobalSlot
 /** Counters from the most recent fixpoint solve. */
 struct SolverStats
 {
-    uint32_t nodes = 0;    ///< Abstract locations.
-    uint64_t pops = 0;     ///< Worklist pops to fixpoint.
-    double solve_ms = 0.0; ///< Wall time of the last solve.
+    uint32_t nodes = 0; ///< Abstract locations.
+    uint64_t pops = 0;  ///< Worklist pops to fixpoint.
 };
 
 class TargetSetAnalysis
@@ -131,9 +130,6 @@ class TargetSetAnalysis
      *  mutating it). The next query re-extracts only this summary. */
     void invalidateFunction(ir::FuncId f);
 
-    /** Mark every summary stale (call after a module-wide pass). */
-    void invalidateAll();
-
     /** Per-site feasible targets, keyed by SiteId (solves lazily). */
     const std::map<ir::SiteId, SiteTargets>& sites();
 
@@ -152,12 +148,11 @@ class TargetSetAnalysis
 
     /**
      * Force the lazy fixpoint now. After this returns — and until the
-     * next invalidateFunction/invalidateAll call — the
-     * query methods (sites, site, regTargets, addressTaken,
-     * badGlobalSlots) only read solved state and are safe to call
-     * from multiple threads concurrently (runChecks and
-     * runChecksParallel pre-solve serially, then share one instance
-     * across shards).
+     * next invalidateFunction call — the query methods (sites, site,
+     * regTargets, addressTaken, badGlobalSlots) only read solved
+     * state and are safe to call from multiple threads concurrently
+     * (runChecks and runChecksParallel pre-solve serially, then share
+     * one instance across shards).
      */
     void ensureSolved() { sites(); }
 

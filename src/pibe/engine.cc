@@ -1,7 +1,6 @@
 #include "pibe/engine.h"
 
 #include <bit>
-#include <chrono>
 #include <memory>
 #include <sstream>
 
@@ -12,13 +11,12 @@
 #include "runtime/thread_pool.h"
 #include "support/logging.h"
 #include "support/stats.h"
+#include "support/timer.h"
 #include "workload/workload.h"
 
 namespace pibe::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // ---------------------------------------------------------------------
 // Cache keys. Every configuration field that can change an artifact is
@@ -34,11 +32,16 @@ hashKernelConfig(runtime::Digest& d, const kernel::KernelConfig& cfg)
         .add(cfg.kmem_slots);
 }
 
+// `sandwich` is left out: it audits the build and never changes the
+// image it returns.
 void
 hashOptConfig(runtime::Digest& d, const OptConfig& opt)
 {
     d.add(opt.enable_icp)
         .add(opt.icp_budget)
+        .add(opt.icp_max_targets)
+        .add(opt.icp_total_promotion)
+        .add(opt.icp_total_promotion_max_targets)
         .add(static_cast<int64_t>(opt.inliner))
         .add(opt.inline_budget)
         .add(opt.lax_heuristics)
@@ -369,7 +372,7 @@ measureWorkloadCached(const std::string& image_text,
 ExperimentResults
 runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
 {
-    const Clock::time_point t0 = Clock::now();
+    const Stopwatch wall;
 
     runtime::ArtifactCache cache;
     if (opts.use_cache && !opts.cache_dir.empty())
@@ -481,9 +484,7 @@ runExperiments(const ExperimentPlan& plan, const EngineOptions& opts)
 
     results.cache = cache.stats();
     results.jobs = graph.metrics();
-    results.wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0)
-            .count();
+    results.wall_ms = wall.ms();
     return results;
 }
 

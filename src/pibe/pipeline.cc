@@ -4,7 +4,6 @@
 #include "check/sandwich.h"
 #include "check/target_sets.h"
 #include "ir/verifier.h"
-#include "opt/cleanup.h"
 #include "runtime/digest.h"
 
 namespace pibe::core {
@@ -137,12 +136,6 @@ buildImage(const ir::Module& linked, const profile::EdgeProfile& profile,
       }
       case InlinerKind::kNone:
         break;
-    }
-
-    if (opt.module_cleanup) {
-        opt::cleanupModule(image);
-        am.invalidateAll(); // module-wide pass: everything changed
-        audit("cleanup", false, false);
     }
 
     std::vector<ir::FuncId> harden_touched;

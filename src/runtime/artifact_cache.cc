@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,21 +13,13 @@
 #include <vector>
 
 #include "support/logging.h"
+#include "support/timer.h"
 
 namespace pibe::runtime {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
 
 /**
  * RAII exclusive flock(2) on `<dir>/.lock`. Advisory, so it only
@@ -99,15 +89,6 @@ ArtifactCache::setDiskDir(const std::string& dir)
     stats_.disk_bytes = bytes;
 }
 
-std::string
-ArtifactCache::defaultDiskDir()
-{
-    const char* home = std::getenv("HOME");
-    if (home == nullptr || home[0] == '\0')
-        return "/tmp/pibe-artifacts";
-    return std::string(home) + "/.cache/pibe-artifacts";
-}
-
 void
 ArtifactCache::setDiskBudget(uint64_t bytes)
 {
@@ -170,7 +151,7 @@ ArtifactCache::memoryInsert(const std::string& key,
 std::optional<std::string>
 ArtifactCache::get(const std::string& key)
 {
-    const Clock::time_point t0 = Clock::now();
+    const Stopwatch timer;
     std::string dir;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -182,7 +163,7 @@ ArtifactCache::get(const std::string& key)
             ++stats_.mem_hits;
             std::string value = it->second->second;
             --stats_.inflight;
-            stats_.get_ms_total += msSince(t0);
+            stats_.get_ms_total += timer.ms();
             return value;
         }
         dir = disk_dir_;
@@ -214,14 +195,14 @@ ArtifactCache::get(const std::string& key)
         ++stats_.misses;
     }
     --stats_.inflight;
-    stats_.get_ms_total += msSince(t0);
+    stats_.get_ms_total += timer.ms();
     return value;
 }
 
 void
 ArtifactCache::put(const std::string& key, const std::string& value)
 {
-    const Clock::time_point t0 = Clock::now();
+    const Stopwatch timer;
     std::string dir;
     uint64_t budget = 0;
     uint64_t disk_estimate = 0;
@@ -276,7 +257,7 @@ ArtifactCache::put(const std::string& key, const std::string& value)
     }
     std::lock_guard<std::mutex> lock(mu_);
     --stats_.inflight;
-    stats_.put_ms_total += msSince(t0);
+    stats_.put_ms_total += timer.ms();
 }
 
 void

@@ -8,8 +8,8 @@
  *
  *  - in-memory: always on, shared within one process/run, LRU-evicted
  *    under an optional byte budget (long-running daemons stay bounded);
- *  - on-disk (optional): a directory of `<key>.art` files (default
- *    `~/.cache/pibe-artifacts/`, or `--cache-dir`), which is what
+ *  - on-disk (optional): a directory of `<key>.art` files (the
+ *    `--cache-dir` of the CLI, tables and daemon), which is what
  *    makes re-runs, cross-table, and cross-*process* sharing near-free.
  *
  * The disk tier is safe to share between processes (`pibe serve`
@@ -88,9 +88,6 @@ class ArtifactCache
      * created.
      */
     void setDiskDir(const std::string& dir);
-
-    /** Default on-disk location: $HOME/.cache/pibe-artifacts. */
-    static std::string defaultDiskDir();
 
     /**
      * Cap the disk tier at `bytes` (0 = unlimited). When a put pushes

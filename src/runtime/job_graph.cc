@@ -1,22 +1,9 @@
 #include "runtime/job_graph.h"
 
-#include <chrono>
-
 #include "runtime/digest.h"
+#include "support/timer.h"
 
 namespace pibe::runtime {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msBetween(Clock::time_point from, Clock::time_point to)
-{
-    return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-} // namespace
 
 JobId
 JobGraph::add(std::string name,
@@ -45,9 +32,8 @@ JobGraph::submitJob(ThreadPool& pool, JobId id)
 {
     // Called with mu_ held; publication of dependency side effects
     // happens-before the worker picks this task up.
-    const Clock::time_point ready = Clock::now();
-    pool.submit([this, &pool, id, ready] {
-        const Clock::time_point start = Clock::now();
+    pool.submit([this, &pool, id, timer = Stopwatch()]() mutable {
+        const double queue_wait_ms = timer.lapMs();
         JobContext ctx;
         ctx.id = id;
         ctx.seed = Digest().add(jobs_[id].name).value();
@@ -60,11 +46,11 @@ JobGraph::submitJob(ThreadPool& pool, JobId id)
                 first_error_ = std::current_exception();
             ok = false;
         }
-        const Clock::time_point end = Clock::now();
+        const double run_ms = timer.ms();
         {
             std::lock_guard<std::mutex> lock(mu_);
-            metrics_[id].queue_wait_ms = msBetween(ready, start);
-            metrics_[id].run_ms = msBetween(start, end);
+            metrics_[id].queue_wait_ms = queue_wait_ms;
+            metrics_[id].run_ms = run_ms;
             // "ran" distinguishes executed jobs from skipped ones; a
             // job that executed and threw still ran.
             metrics_[id].ran = true;

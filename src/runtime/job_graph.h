@@ -81,8 +81,6 @@ class JobGraph
     /** Per-job timing, in add() order. Valid after run(). */
     const std::vector<JobMetrics>& metrics() const { return metrics_; }
 
-    size_t numJobs() const { return jobs_.size(); }
-
   private:
     struct Job
     {

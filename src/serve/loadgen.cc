@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -19,13 +18,13 @@
 #include "serve/server.h"
 #include "support/logging.h"
 #include "support/rng.h"
+#include "support/stats.h"
+#include "support/timer.h"
 #include "workload/workload.h"
 
 namespace pibe::serve {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /** One scheduled request (immutable once built). */
 struct ScheduledRequest
@@ -148,14 +147,11 @@ clientWorker(const LoadgenOptions& opts,
                 continue;
             }
         }
-        const Clock::time_point t0 = Clock::now();
+        const Stopwatch latency;
         std::string error;
         std::optional<Json> result =
             client.callOk(req.op, req.params, &error);
-        latencies.push_back(
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      t0)
-                .count());
+        latencies.push_back(latency.ms());
         if (!result) {
             ++failures;
             if (errors.size() < 5)
@@ -194,50 +190,32 @@ runPass(const LoadgenOptions& opts,
     state.bits_by_signature = bits_by_signature;
     state.bit_mismatches = bit_mismatches;
     state.errors = errors;
-    const Clock::time_point t0 = Clock::now();
+    const Stopwatch wall;
     std::vector<std::thread> threads;
     for (uint32_t c = 0; c < opts.clients; ++c)
         threads.emplace_back(clientWorker, std::cref(opts),
                              std::cref(schedule), c, &state);
     for (auto& t : threads)
         t.join();
-    state.result.wall_s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    state.result.wall_s = wall.ms() / 1e3;
     return std::move(state.result);
-}
-
-double
-percentile(std::vector<double> sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const size_t idx = std::min(
-        sorted.size() - 1,
-        static_cast<size_t>(p * static_cast<double>(sorted.size())));
-    return sorted[idx];
 }
 
 Json
 passJson(const std::string& name, const PassResult& pass)
 {
-    std::vector<double> sorted = pass.latency_ms;
-    std::sort(sorted.begin(), sorted.end());
-    double total = 0;
-    for (double ms : sorted)
-        total += ms;
+    const std::vector<double>& ms = pass.latency_ms;
     Json json = Json::object();
     json.set("name", name);
-    json.set("requests", static_cast<int64_t>(sorted.size()));
+    json.set("requests", static_cast<int64_t>(ms.size()));
     json.set("failures", static_cast<int64_t>(pass.failures));
-    json.set("p50_ms", percentile(sorted, 0.50));
-    json.set("p99_ms", percentile(sorted, 0.99));
-    json.set("mean_ms",
-             sorted.empty() ? 0.0
-                            : total / static_cast<double>(sorted.size()));
+    json.set("p50_ms", percentile(ms, 0.50));
+    json.set("p99_ms", percentile(ms, 0.99));
+    json.set("mean_ms", ms.empty() ? 0.0 : mean(ms));
     json.set("wall_s", pass.wall_s);
     json.set("throughput_rps",
              pass.wall_s > 0
-                 ? static_cast<double>(sorted.size()) / pass.wall_s
+                 ? static_cast<double>(ms.size()) / pass.wall_s
                  : 0.0);
     return json;
 }

@@ -1,8 +1,9 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
+
+#include "support/stats.h"
 
 namespace pibe::serve {
 
@@ -10,31 +11,9 @@ namespace {
 
 constexpr size_t kReservoirCap = 1u << 16;
 
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Percentile over an unsorted copy (nearest-rank). */
-double
-percentileOf(std::vector<double> samples, double p)
-{
-    if (samples.empty())
-        return 0;
-    std::sort(samples.begin(), samples.end());
-    const size_t rank = std::min(
-        samples.size() - 1,
-        static_cast<size_t>(p * static_cast<double>(samples.size())));
-    return samples[rank];
-}
-
 } // namespace
 
-ServeMetrics::ServeMetrics()
-    : reservoir_rng_(0x5e4e5e4e), boot_epoch_ms_(nowMs())
+ServeMetrics::ServeMetrics() : reservoir_rng_(0x5e4e5e4e)
 {
     latency_ms_.reserve(1024);
 }
@@ -116,9 +95,9 @@ ServeMetrics::snapshot(const runtime::CacheStats& cache) const
     snap.inflight = inflight_;
     snap.peak_inflight = peak_inflight_;
     snap.admission_wait_ms_total = admission_wait_ms_total_;
-    snap.uptime_s = (nowMs() - boot_epoch_ms_) / 1e3;
-    snap.p50_ms = percentileOf(latency_ms_, 0.50);
-    snap.p99_ms = percentileOf(latency_ms_, 0.99);
+    snap.uptime_s = uptime_.ms() / 1e3;
+    snap.p50_ms = percentile(latency_ms_, 0.50);
+    snap.p99_ms = percentile(latency_ms_, 0.99);
     snap.cache = cache;
     return snap;
 }

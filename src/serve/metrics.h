@@ -20,6 +20,7 @@
 #include "runtime/artifact_cache.h"
 #include "serve/json.h"
 #include "support/rng.h"
+#include "support/timer.h"
 
 namespace pibe::serve {
 
@@ -91,7 +92,7 @@ class ServeMetrics
     uint64_t samples_seen_ = 0;
     std::vector<double> latency_ms_; ///< Reservoir, capped.
     Rng reservoir_rng_;
-    double boot_epoch_ms_ = 0;
+    Stopwatch uptime_; ///< Runs from construction (daemon boot).
 };
 
 } // namespace pibe::serve

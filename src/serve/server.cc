@@ -13,23 +13,15 @@
 #include "profile/serialize.h"
 #include "serve/protocol.h"
 #include "support/logging.h"
+#include "support/timer.h"
 #include "workload/workload.h"
 
 namespace pibe::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Decoded images kept hot in the registry (LRU beyond this). */
 constexpr size_t kMaxDecodedImages = 16;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
 
 /** Strict non-negative integer parse ("" and junk rejected). */
 std::optional<uint64_t>
@@ -121,11 +113,11 @@ optConfigFromJson(const Json& params, core::OptConfig* out,
 double
 AdmissionGate::acquire()
 {
-    const Clock::time_point t0 = Clock::now();
+    const Stopwatch wait;
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return inflight_ < limit_; });
     ++inflight_;
-    return msSince(t0);
+    return wait.ms();
 }
 
 void
@@ -578,7 +570,7 @@ Server::handle(const Json& request)
         static_cast<uint64_t>(request["id"].asInt(0));
     const std::string& op = request["op"].asString();
     const Json& params = request["params"];
-    const Clock::time_point t0 = Clock::now();
+    const Stopwatch latency;
     bool ok = true;
     bool coalesced = false;
     Json response;
@@ -621,7 +613,7 @@ Server::handle(const Json& request)
         response = makeErrorResponse(id, e.what());
     }
     metrics_.recordRequest(op.empty() ? "<none>" : op, ok,
-                           msSince(t0), coalesced);
+                           latency.ms(), coalesced);
     return response;
 }
 

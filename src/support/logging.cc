@@ -5,29 +5,11 @@
 
 namespace pibe {
 
-namespace {
-LogLevel g_level = LogLevel::kNormal;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 namespace detail {
 
 void
-logMessage(const char* tag, LogLevel min_level, const std::string& msg)
+logMessage(const char* tag, const std::string& msg)
 {
-    if (static_cast<int>(g_level) < static_cast<int>(min_level))
-        return;
     std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
 }
 

@@ -14,23 +14,10 @@
 
 namespace pibe {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel {
-    kQuiet,   ///< Only fatal/panic output.
-    kNormal,  ///< warn() and inform() are printed.
-    kVerbose, ///< verbose() is printed as well.
-};
-
-/** Set the global log level. Thread-unsafe by design (set once at start). */
-void setLogLevel(LogLevel level);
-
-/** Current global log level. */
-LogLevel logLevel();
-
 namespace detail {
 
-/** Print a tagged message to stderr honoring the global log level. */
-void logMessage(const char* tag, LogLevel min_level, const std::string& msg);
+/** Print a tagged message to stderr. */
+void logMessage(const char* tag, const std::string& msg);
 
 /** Print a fatal error and exit(1). Used for user-caused conditions. */
 [[noreturn]] void fatalImpl(const char* file, int line, const std::string& msg);
@@ -55,8 +42,7 @@ template <typename... Args>
 void
 inform(Args&&... args)
 {
-    detail::logMessage("info", LogLevel::kNormal,
-                       detail::concat(std::forward<Args>(args)...));
+    detail::logMessage("info", detail::concat(std::forward<Args>(args)...));
 }
 
 /** Warning: something may not behave as well as it should. */
@@ -64,17 +50,7 @@ template <typename... Args>
 void
 warn(Args&&... args)
 {
-    detail::logMessage("warn", LogLevel::kNormal,
-                       detail::concat(std::forward<Args>(args)...));
-}
-
-/** Verbose diagnostics, printed only at LogLevel::kVerbose. */
-template <typename... Args>
-void
-verbose(Args&&... args)
-{
-    detail::logMessage("dbg ", LogLevel::kVerbose,
-                       detail::concat(std::forward<Args>(args)...));
+    detail::logMessage("warn", detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace pibe

@@ -20,6 +20,18 @@ median(std::vector<double> values)
 }
 
 double
+percentile(std::vector<double> values, double p)
+{
+    if (values.empty())
+        return 0;
+    std::sort(values.begin(), values.end());
+    const size_t rank = std::min(
+        values.size() - 1,
+        static_cast<size_t>(p * static_cast<double>(values.size())));
+    return values[rank];
+}
+
+double
 mean(const std::vector<double>& values)
 {
     PIBE_ASSERT(!values.empty(), "mean of empty sample");

@@ -19,6 +19,12 @@ double median(std::vector<double> values);
 /** Arithmetic mean. @pre values non-empty. */
 double mean(const std::vector<double>& values);
 
+/**
+ * Nearest-rank percentile, `p` in [0, 1]: the value at sorted index
+ * min(n - 1, floor(p * n)). 0 for an empty sample.
+ */
+double percentile(std::vector<double> values, double p);
+
 /** Sample standard deviation (n-1 denominator); 0 for size < 2. */
 double stddev(const std::vector<double>& values);
 

@@ -63,13 +63,6 @@ class Workload
 
     /** One measured operation; `i` is the iteration index. */
     virtual void iteration(KernelHandle& k, uint64_t i) = 0;
-
-    /**
-     * Relative weight of one iteration when normalizing latency (the
-     * fork tests do more work per iteration; LMBench reports the
-     * latency of the whole unit, so this is 1 for all tests).
-     */
-    virtual double opsPerIteration() const { return 1.0; }
 };
 
 /** Workload assembled from closures; covers nearly every benchmark. */

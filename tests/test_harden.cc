@@ -138,10 +138,12 @@ TEST(Harden, RetpolinesOnlyLeavesReturnsPlain)
     for (const ir::Function& f : m.functions()) {
         for (const auto& bb : f.blocks) {
             for (const auto& inst : bb.insts) {
-                if (inst.op == ir::Opcode::kRet)
+                if (inst.op == ir::Opcode::kRet) {
                     EXPECT_EQ(inst.ret_scheme, RetScheme::kNone);
-                if (inst.op == ir::Opcode::kICall && !inst.is_asm)
+                }
+                if (inst.op == ir::Opcode::kICall && !inst.is_asm) {
                     EXPECT_EQ(inst.fwd_scheme, FwdScheme::kRetpoline);
+                }
             }
         }
     }

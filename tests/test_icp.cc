@@ -198,8 +198,9 @@ TEST(Icp, SkipsArityMismatchedTargets)
     EXPECT_EQ(audit.promoted_targets, 1u);
     for (const auto& bb : d.m.func(d.dispatcher).blocks) {
         for (const auto& inst : bb.insts) {
-            if (inst.op == Opcode::kCall)
+            if (inst.op == Opcode::kCall) {
                 EXPECT_NE(inst.callee, wrong);
+            }
         }
     }
 }

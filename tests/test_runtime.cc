@@ -425,5 +425,26 @@ TEST(RuntimeEngine, CacheKeyChangesWithAnyConfigField)
     std::filesystem::remove_all(dir);
 }
 
+TEST(RuntimeEngine, ImageKeyCoversEveryIcpField)
+{
+    // Each of these fields changes the image buildImage returns, so
+    // two plans differing only in one must not share a cached image.
+    const core::OptConfig base;
+    const harden::DefenseConfig defense = harden::DefenseConfig::all();
+    const std::string base_key =
+        core::imageCacheKey("kernel", "profile", base, defense);
+
+    core::OptConfig capped = base;
+    capped.icp_max_targets = 2;
+    core::OptConfig total = base;
+    total.icp_total_promotion = true;
+    core::OptConfig total_bound = base;
+    total_bound.icp_total_promotion_max_targets = 4;
+    for (const core::OptConfig& opt : {capped, total, total_bound}) {
+        EXPECT_NE(core::imageCacheKey("kernel", "profile", opt, defense),
+                  base_key);
+    }
+}
+
 } // namespace
 } // namespace pibe

@@ -363,8 +363,9 @@ TEST(ServeCacheSharing, TwoProcessContentionNeverCorrupts)
             const std::string key = "key" + std::to_string(i);
             cache.put(key, valueFor(i));
             std::optional<std::string> got = cache.get(key);
-            if (got)
+            if (got) {
                 EXPECT_EQ(*got, valueFor(i)) << key;
+            }
         }
     }
 
@@ -380,8 +381,9 @@ TEST(ServeCacheSharing, TwoProcessContentionNeverCorrupts)
     for (int i = 0; i < kKeys; ++i) {
         std::optional<std::string> got =
             reader.get("key" + std::to_string(i));
-        if (got)
+        if (got) {
             EXPECT_EQ(*got, valueFor(i));
+        }
     }
     for (const auto& entry : fs::directory_iterator(dir.path())) {
         const std::string name = entry.path().filename().string();

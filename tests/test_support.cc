@@ -27,6 +27,17 @@ TEST(Stats, MedianDoesNotMutateCallerVisibleOrder)
     EXPECT_DOUBLE_EQ(median(v), 5.0);
 }
 
+TEST(Stats, PercentileIsNearestRank)
+{
+    // Index min(n - 1, floor(p * n)) of the sorted sample.
+    const std::vector<double> v{40, 10, 30, 20};
+    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
+    EXPECT_DOUBLE_EQ(percentile(v, 0.50), 30.0);
+    EXPECT_DOUBLE_EQ(percentile(v, 0.99), 40.0);
+    EXPECT_DOUBLE_EQ(percentile(v, 1.0), 40.0);
+    EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
+}
+
 TEST(Stats, Mean)
 {
     EXPECT_DOUBLE_EQ(mean({1, 2, 3, 4}), 2.5);

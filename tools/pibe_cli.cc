@@ -59,7 +59,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -98,6 +97,7 @@
 #include "serve/server.h"
 #include "support/stats.h"
 #include "support/table.h"
+#include "support/timer.h"
 #include "uarch/simulator.h"
 #include "uarch/speculation.h"
 
@@ -401,13 +401,9 @@ cmdMeasure(Args& args)
     const bool decode_stats =
         args.has("--decode-stats") || !decode_stats_json.empty();
 
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point decode_t0 = Clock::now();
+    const Stopwatch decode_timer;
     const auto decoded = std::make_shared<const uarch::DecodedModule>(m);
-    const double decode_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() -
-                                                  decode_t0)
-            .count();
+    const double decode_ms = decode_timer.ms();
 
     runtime::ArtifactCache cache;
     if (!cache_dir.empty())
@@ -441,26 +437,19 @@ cmdMeasure(Args& args)
     std::vector<double> lat(tests.size());
     std::vector<double> base_lat(tests.size());
     std::vector<uint64_t> run_insts(tests.size());
-    std::vector<double> run_ms(tests.size());
+    std::vector<runtime::JobId> run_job(tests.size());
     std::vector<std::array<uint64_t, uarch::kNumFusedFamilies>>
         run_fused(tests.size());
     runtime::JobGraph graph;
     for (size_t i = 0; i < tests.size(); ++i) {
-        graph.add("measure:" + tests[i],
-                  [&, i](const runtime::JobContext&) {
-                      const Clock::time_point t0 = Clock::now();
-                      const core::Measurement meas =
-                          core::measureWorkloadCached(
-                              image_text, decoded, info, tests[i],
-                              config, &cache);
-                      run_ms[i] = std::chrono::duration<double,
-                                                        std::milli>(
-                                      Clock::now() - t0)
-                                      .count();
-                      lat[i] = meas.latency_us;
-                      run_insts[i] = meas.stats.instructions;
-                      run_fused[i] = meas.stats.fused;
-                  });
+        run_job[i] = graph.add(
+            "measure:" + tests[i], [&, i](const runtime::JobContext&) {
+                const core::Measurement meas = core::measureWorkloadCached(
+                    image_text, decoded, info, tests[i], config, &cache);
+                lat[i] = meas.latency_us;
+                run_insts[i] = meas.stats.instructions;
+                run_fused[i] = meas.stats.fused;
+            });
         if (base_mod) {
             graph.add("baseline:" + tests[i],
                       [&, i](const runtime::JobContext&) {
@@ -505,12 +494,13 @@ cmdMeasure(Args& args)
         // cold cache for meaningful numbers.
         Table dt({"Test", "sim insts", "run (ms)", "MIPS"});
         for (size_t i = 0; i < tests.size(); ++i) {
+            const double run_ms = graph.metrics()[run_job[i]].run_ms;
             const double mips =
-                run_ms[i] > 0 ? static_cast<double>(run_insts[i]) /
-                                    (run_ms[i] * 1e3)
-                              : 0;
+                run_ms > 0 ? static_cast<double>(run_insts[i]) /
+                                 (run_ms * 1e3)
+                           : 0;
             dt.addRow({tests[i], std::to_string(run_insts[i]),
-                       fixedStr(run_ms[i], 2), fixedStr(mips, 1)});
+                       fixedStr(run_ms, 2), fixedStr(mips, 1)});
         }
         dt.addSeparator();
         dt.addRow({"decode time (ms)", "-", fixedStr(decode_ms, 2),
@@ -827,9 +817,7 @@ cmdCheck(Args& args)
             const check::SolverStats& ss =
                 am.targetSets(opts.roots).solverStats();
             t << ",\"solver\":{\"nodes\":" << ss.nodes
-              << ",\"pops\":" << ss.pops << ",\"solve_ms\":"
-              << std::fixed << std::setprecision(2) << ss.solve_ms
-              << "}";
+              << ",\"pops\":" << ss.pops << "}";
         }
         t << "}";
         timing_json = t.str();
@@ -943,9 +931,9 @@ cmdGenkernel(Args& args)
     }
 
     scale::ScaleStats stats;
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch gen_timer;
     ir::Module m = scale::buildScaleModule(cfg, &stats);
-    const auto t1 = std::chrono::steady_clock::now();
+    const double gen_ms = gen_timer.ms();
 
     const std::string out = args.get("-o", "scale_kernel.pir");
     writeFile(out, ir::printModule(m));
@@ -960,8 +948,6 @@ cmdGenkernel(Args& args)
         writeFile(prof_path, profile::serializeProfile(m, prof));
     }
 
-    const double gen_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
     std::printf("wrote %s (%.0f ms)\n", out.c_str(), gen_ms);
     std::printf("functions:      %llu\n",
                 static_cast<unsigned long long>(stats.num_functions));
@@ -982,14 +968,6 @@ cmdGenkernel(Args& args)
     if (!prof_path.empty())
         std::printf("profile:        %s\n", prof_path.c_str());
     return 0;
-}
-
-using Clock = std::chrono::steady_clock;
-
-double
-msBetween(Clock::time_point a, Clock::time_point b)
-{
-    return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
 /** One scalebench leg: the paper pipeline build plus one audit. */
@@ -1020,23 +998,21 @@ runScaleLeg(const ir::Module& m, const profile::EdgeProfile& prof,
     core::OptConfig opt;
     opt.sandwich = false;
     core::BuildReport rep;
-    const Clock::time_point t0 = Clock::now();
+    Stopwatch stage;
     const ir::Module image = core::buildImage(
         m, prof, opt, harden::DefenseConfig::all(), &rep);
-    const Clock::time_point t1 = Clock::now();
+    leg.build_ms = stage.lapMs();
     check::CheckOptions copts;
     copts.coverage = true;
     copts.targets = true;
     copts.defense = harden::DefenseConfig::all();
     leg.checks = check::runChecksParallel(image, copts, pool);
-    const Clock::time_point t2 = Clock::now();
+    leg.check_ms = stage.lapMs();
     leg.digest = core::moduleDigest(image);
     leg.promoted_sites = rep.icp.promoted_sites;
     leg.inlined_sites = rep.inlining.inlined_sites;
     leg.baseline_image_size = rep.baseline_image_size;
     leg.image_size = rep.image_size;
-    leg.build_ms = msBetween(t0, t1);
-    leg.check_ms = msBetween(t1, t2);
     return leg;
 }
 
@@ -1057,17 +1033,16 @@ calibrationProbe(runtime::ThreadPool& pool)
             d.add(i);
         return d.hex();
     };
-    Clock::time_point t0 = Clock::now();
+    Stopwatch probe;
     volatile size_t sink = job().size();
-    const double one_ms = msBetween(t0, Clock::now());
+    const double one_ms = probe.lapMs();
     std::vector<std::future<std::string>> futures;
-    t0 = Clock::now();
     for (size_t i = 0; i < pool.size(); ++i)
         futures.push_back(pool.submit(job));
     for (auto& f : futures)
         sink = f.get().size();
     (void)sink;
-    const double all_ms = msBetween(t0, Clock::now());
+    const double all_ms = probe.lapMs();
     return {one_ms, one_ms * static_cast<double>(pool.size()) / all_ms};
 }
 
@@ -1088,14 +1063,14 @@ runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs, int fd)
     cfg.target_insts = insts;
     cfg.seed = seed;
     scale::ScaleStats stats;
-    const Clock::time_point t0 = Clock::now();
+    Stopwatch stage;
     const ir::Module m = scale::buildScaleModule(cfg, &stats);
-    const Clock::time_point t1 = Clock::now();
+    const double gen_ms = stage.lapMs();
 
     scale::SyntheticProfileConfig pcfg;
     pcfg.seed = seed;
     const profile::EdgeProfile prof = scale::synthesizeProfile(m, pcfg);
-    const Clock::time_point t2 = Clock::now();
+    const double profile_ms = stage.lapMs();
 
     runtime::ThreadPool one(1);
     runtime::ThreadPool pool(jobs);
@@ -1127,7 +1102,7 @@ runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs, int fd)
         static_cast<unsigned long long>(stats.num_insts),
         static_cast<unsigned long long>(stats.num_functions),
         static_cast<unsigned long long>(stats.icall_sites),
-        msBetween(t0, t1), msBetween(t1, t2), serial_ms, par_ms,
+        gen_ms, profile_ms, serial_ms, par_ms,
         par_ms > 0 ? serial_ms / par_ms : 0.0, probe_ms, parallelism,
         serial.build_ms, serial.check_ms, par.check_ms,
         serial.promoted_sites, serial.inlined_sites,

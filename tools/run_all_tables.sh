@@ -3,8 +3,8 @@
 # in parallel with a shared artifact cache, verify that the table
 # output is byte-identical, and emit BENCH_tables.json with wall-clock
 # and cache statistics per table. Also runs the interpreter microbench
-# (decoded vs reference hot loop) and merges its result into the JSON
-# so the engine's perf trajectory is tracked per PR.
+# (decoded vs reference hot loop), which writes its own INTERP_JSON;
+# BENCH_tables.json does not repeat it.
 #
 # Finally boots a `pibe serve` daemon, replays a concurrent loadgen
 # mix against it, and merges its BENCH_serve.json (p50/p99 latency,
@@ -141,17 +141,12 @@ echo "== residual-attack-surface report (pibe surface) =="
     -p "$WORK/surface-prof.txt" --json "$SURFACE_JSON" --fail-on warn
 
 # Provenance stamp: every BENCH_*.json records where its numbers came
-# from, so checked-in baselines are auditable. The dispatch mode is
-# read back from the interpreter artifact (the binary knows which
-# engine it actually ran).
+# from, so checked-in baselines are auditable.
 GIT_SHA=$(git -C "$(dirname "$0")/.." rev-parse --short HEAD \
     2>/dev/null || echo unknown)
 CPU_MODEL=$(awk -F': ' '/model name/ { print $2; exit }' \
     /proc/cpuinfo 2>/dev/null || echo unknown)
 CXX_ID=$("${CXX:-c++}" --version 2>/dev/null | head -1 || echo unknown)
-DISPATCH=$(python3 -c 'import json, sys
-print(json.load(open(sys.argv[1]))["provenance"]["dispatch_mode"])' \
-    "$INTERP_JSON" 2>/dev/null || echo unknown)
 STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 {
@@ -160,7 +155,6 @@ STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
     echo "    \"git_sha\": \"$GIT_SHA\","
     echo "    \"compiler\": \"$CXX_ID\","
     echo "    \"cpu\": \"$CPU_MODEL\","
-    echo "    \"dispatch_mode\": \"$DISPATCH\","
     echo "    \"timestamp_utc\": \"$STAMP_UTC\""
     echo "  },"
     echo "  \"jobs\": $JOBS,"
@@ -170,8 +164,6 @@ STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
         'BEGIN { printf "%.3f", ms / 1000 }'),"
     echo "  \"speedup\": $speedup,"
     echo "  \"output_identical\": true,"
-    echo "  \"interpreter\": $(sed 's/^/  /' "$INTERP_JSON" \
-        | sed '1s/^  //'),"
     echo "  \"serve\": $(cat "$SERVE_JSON"),"
     echo "  \"scale\": $(cat "$SCALE_JSON"),"
     echo "  \"surface\": $(cat "$SURFACE_JSON"),"
