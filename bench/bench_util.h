@@ -26,6 +26,7 @@
 #include "pibe/engine.h"
 #include "pibe/experiment.h"
 #include "pibe/pipeline.h"
+#include "support/json.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "workload/workload.h"
@@ -176,17 +177,17 @@ finishBench(const BenchArgs& args, const std::string& table_id,
                      core::engineMetricsTable(results).render().c_str());
     }
     if (!args.metrics_json.empty()) {
-        std::ofstream out(args.metrics_json);
-        out << "{\"table\":\"" << table_id << "\""
-            << ",\"wall_s\":" << fixedStr(results.wall_ms / 1000.0, 3)
-            << ",\"jobs\":" << args.engine.jobs
-            << ",\"num_graph_jobs\":" << results.jobs.size()
-            << ",\"cache_mem_hits\":" << results.cache.mem_hits
-            << ",\"cache_disk_hits\":" << results.cache.disk_hits
-            << ",\"cache_misses\":" << results.cache.misses
-            << ",\"cache_puts\":" << results.cache.puts
-            << ",\"cache_hit_rate\":"
-            << fixedStr(results.cache.hitRate(), 4) << "}\n";
+        Json doc = Json::object();
+        doc.set("table", table_id);
+        doc.set("wall_s", results.wall_ms / 1000.0);
+        doc.set("jobs", args.engine.jobs);
+        doc.set("num_graph_jobs", results.jobs.size());
+        doc.set("cache_mem_hits", results.cache.mem_hits);
+        doc.set("cache_disk_hits", results.cache.disk_hits);
+        doc.set("cache_misses", results.cache.misses);
+        doc.set("cache_puts", results.cache.puts);
+        doc.set("cache_hit_rate", results.cache.hitRate());
+        std::ofstream(args.metrics_json) << doc.dump() << "\n";
     }
 }
 

@@ -11,10 +11,11 @@
  * FILE (BENCH_interpreter.json): throughput of the decoded switch
  * loop with and without decode-time fusion, the pre-rewrite reference
  * loop as the speedup denominator, per-family superinstruction
- * coverage (static sites + dynamic executions), the top decode-time
- * digrams the fusion set was chosen from, and a provenance block (git
- * sha, compiler, CPU model, dispatch mode) so recorded numbers are
- * attributable to a machine and build.
+ * coverage (static sites + dynamic executions), the decode-time opcode
+ * and digram histograms the fusion set was chosen from (the shared
+ * uarch::decodeStatsJson shape), and a provenance block (git sha,
+ * compiler, CPU model) so recorded numbers are attributable to a
+ * machine and build.
  *
  * Throughput methodology: each configuration reports its *peak*
  * 1000-syscall window over >= 2 s of measurement. A window (~1.5 ms)
@@ -32,15 +33,16 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "ir/printer.h"
 #include "opt/cleanup.h"
 #include "opt/icp.h"
 #include "opt/inliner.h"
+#include "support/json.h"
 #include "support/timer.h"
 #include "uarch/simulator.h"
 
@@ -312,93 +314,17 @@ writeInterpreterJson(const char* path)
     for (int i = 0; i < 2000; ++i)
         fhandle.syscall(kernel::sysno::kRead, 3, 0, 4);
     const uarch::RunStats& fstats = fsim.stats();
-    const uarch::DecodeStats& ds = decoded.decodeStats();
 
-    std::FILE* out = std::fopen(path, "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out,
-                 "  \"benchmark\": \"read syscall, 32-driver kernel\",\n");
-    std::fprintf(out,
-                 "  \"methodology\": \"peak 1000-syscall window over "
-                 ">=2s per configuration, configurations' windows "
-                 "alternating\",\n");
-    std::fprintf(out, "  \"decoded_minstr_per_s\": %.3f,\n", hot / 1e6);
-    std::fprintf(out, "  \"decoded_unfused_minstr_per_s\": %.3f,\n",
-                 unfused / 1e6);
-    std::fprintf(out, "  \"reference_minstr_per_s\": %.3f,\n",
-                 reference / 1e6);
-    std::fprintf(out, "  \"speedup\": %.3f,\n", hot / reference);
-    std::fprintf(out, "  \"decode_ms\": %.3f,\n", decode_ms);
-    std::fprintf(out, "  \"decoded_bytes\": %zu,\n",
-                 decoded.decodedBytes());
-    std::fprintf(out, "  \"decoded_insts\": %zu,\n",
-                 decoded.code().size());
-    std::fprintf(out, "  \"fused_static_pairs\": %llu,\n",
-                 static_cast<unsigned long long>(ds.fused_pairs));
-    std::fprintf(out, "  \"fused_families\": [\n");
-    for (size_t f = 0; f < uarch::kNumFusedFamilies; ++f) {
-        std::fprintf(
-            out,
-            "    {\"family\": \"%s\", \"static_sites\": %llu, "
-            "\"dynamic_execs\": %llu}%s\n",
-            uarch::fusedFamilyName(static_cast<uarch::FusedFamily>(f)),
-            static_cast<unsigned long long>(ds.fused_sites[f]),
-            static_cast<unsigned long long>(fstats.fused[f]),
-            f + 1 < uarch::kNumFusedFamilies ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
-    // The top static digrams (the data fusion candidates come from).
-    {
-        struct Entry
-        {
-            uint64_t n;
-            int a, b;
-        };
-        std::vector<Entry> top;
-        for (int a = 0; a < static_cast<int>(uarch::kNumIrOpcodes); ++a)
-            for (int b = 0; b < static_cast<int>(uarch::kNumIrOpcodes);
-                 ++b)
-                if (ds.digram[a][b] > 0)
-                    top.push_back({ds.digram[a][b], a, b});
-        std::sort(top.begin(), top.end(),
-                  [](const Entry& x, const Entry& y) {
-                      return x.n > y.n;
-                  });
-        if (top.size() > 8)
-            top.resize(8);
-        std::fprintf(out, "  \"top_static_digrams\": [\n");
-        for (size_t i = 0; i < top.size(); ++i) {
-            std::fprintf(
-                out,
-                "    {\"pair\": \"%s+%s\", \"sites\": %llu}%s\n",
-                ir::opcodeName(static_cast<ir::Opcode>(top[i].a)),
-                ir::opcodeName(static_cast<ir::Opcode>(top[i].b)),
-                static_cast<unsigned long long>(top[i].n),
-                i + 1 < top.size() ? "," : "");
-        }
-        std::fprintf(out, "  ],\n");
-    }
-    // Per-opcode static histogram (same decode the digrams came
-    // from), so candidate selection has both halves in one artifact.
-    {
-        std::fprintf(out, "  \"opcode_histogram\": [\n");
-        bool first = true;
-        for (size_t o = 0; o < uarch::kNumIrOpcodes; ++o) {
-            if (ds.op_count[o] == 0)
-                continue;
-            std::fprintf(
-                out, "%s    {\"op\": \"%s\", \"static_sites\": %llu}",
-                first ? "" : ",\n",
-                ir::opcodeName(static_cast<ir::Opcode>(o)),
-                static_cast<unsigned long long>(ds.op_count[o]));
-            first = false;
-        }
-        std::fprintf(out, "\n  ],\n");
-    }
+    Json doc = uarch::decodeStatsJson(decoded, fstats.fused);
+    doc.set("benchmark", "read syscall, 32-driver kernel");
+    doc.set("methodology",
+            "peak 1000-syscall window over >=2s per configuration, "
+            "configurations' windows alternating");
+    doc.set("decoded_minstr_per_s", hot / 1e6);
+    doc.set("decoded_unfused_minstr_per_s", unfused / 1e6);
+    doc.set("reference_minstr_per_s", reference / 1e6);
+    doc.set("speedup", hot / reference);
+    doc.set("decode_ms", decode_ms);
     // Measured dispatch cost: how many dispatches the fixed syscall
     // batch performed (fused pairs retire two instructions per
     // dispatch) and the derived per-dispatch cost, fused and unfused
@@ -412,18 +338,13 @@ writeInterpreterJson(const char* path)
         const uint64_t dispatches = insts - fused_execs;
         const double per_disp =
             static_cast<double>(insts) / dispatches;
-        std::fprintf(out, "  \"dispatch_cost\": {\n");
-        std::fprintf(out, "    \"instructions\": %llu,\n",
-                     static_cast<unsigned long long>(insts));
-        std::fprintf(out, "    \"dispatches\": %llu,\n",
-                     static_cast<unsigned long long>(dispatches));
-        std::fprintf(out, "    \"fused_execs\": %llu,\n",
-                     static_cast<unsigned long long>(fused_execs));
-        std::fprintf(out, "    \"ns_per_dispatch\": %.3f,\n",
-                     1e9 / hot * per_disp);
-        std::fprintf(out, "    \"unfused_ns_per_dispatch\": %.3f\n",
-                     1e9 / unfused);
-        std::fprintf(out, "  },\n");
+        Json cost = Json::object();
+        cost.set("instructions", insts);
+        cost.set("dispatches", dispatches);
+        cost.set("fused_execs", fused_execs);
+        cost.set("ns_per_dispatch", 1e9 / hot * per_disp);
+        cost.set("unfused_ns_per_dispatch", 1e9 / unfused);
+        doc.set("dispatch_cost", std::move(cost));
     }
     // Provenance: make the recorded number attributable.
     {
@@ -431,19 +352,19 @@ writeInterpreterJson(const char* path)
         const std::time_t now = std::time(nullptr);
         std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
                       std::gmtime(&now));
-        const std::string sha =
-            firstLineOf("git rev-parse --short HEAD 2>/dev/null");
-        std::fprintf(out, "  \"provenance\": {\n");
-        std::fprintf(out, "    \"git_sha\": \"%s\",\n", sha.c_str());
-        std::fprintf(out, "    \"compiler\": \"%s\",\n", compilerId());
-        std::fprintf(out, "    \"cpu\": \"%s\",\n",
-                     cpuModel().c_str());
-        std::fprintf(out, "    \"dispatch_mode\": \"switch\",\n");
-        std::fprintf(out, "    \"timestamp_utc\": \"%s\"\n", stamp);
-        std::fprintf(out, "  }\n");
+        Json prov = Json::object();
+        prov.set("git_sha",
+                 firstLineOf("git rev-parse --short HEAD 2>/dev/null"));
+        prov.set("compiler", compilerId());
+        prov.set("cpu", cpuModel());
+        prov.set("timestamp_utc", stamp);
+        doc.set("provenance", std::move(prov));
     }
-    std::fprintf(out, "}\n");
-    std::fclose(out);
+    std::ofstream out(path);
+    if (!(out << doc.dump() << "\n")) {
+        std::fprintf(stderr, "cannot write %s\n", path);
+        return 1;
+    }
     std::printf("interpreter: decoded %.2f Minstr/s (unfused %.2f), "
                 "reference %.2f Minstr/s (%.2fx) -> %s\n",
                 hot / 1e6, unfused / 1e6, reference / 1e6,

@@ -1,7 +1,6 @@
 #include "check/diagnostic.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
 
@@ -16,30 +15,6 @@ severityName(Severity s)
       case Severity::kError:   return "error";
     }
     return "?";
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 std::string
@@ -62,27 +37,28 @@ Diagnostic::render() const
     return os.str();
 }
 
-std::string
-Diagnostic::renderJson() const
+Json
+Diagnostic::toJson() const
 {
-    std::ostringstream os;
-    os << "{\"check\":\"" << jsonEscape(check_id) << "\""
-       << ",\"severity\":\"" << severityName(severity) << "\"";
+    Json j = Json::object();
+    j.set("check", check_id);
+    j.set("severity", severityName(severity));
     if (!pass.empty())
-        os << ",\"pass\":\"" << jsonEscape(pass) << "\"";
+        j.set("pass", pass);
     if (func != ir::kInvalidFunc) {
-        os << ",\"func\":\"" << jsonEscape(func_name) << "\""
-           << ",\"func_id\":" << func;
-        if (inst >= 0)
-            os << ",\"block\":" << block << ",\"inst\":" << inst;
+        j.set("func", func_name);
+        j.set("func_id", func);
+        if (inst >= 0) {
+            j.set("block", block);
+            j.set("inst", inst);
+        }
     }
     if (site != ir::kNoSite)
-        os << ",\"site\":" << site;
-    os << ",\"message\":\"" << jsonEscape(message) << "\"";
+        j.set("site", site);
+    j.set("message", message);
     if (!hint.empty())
-        os << ",\"hint\":\"" << jsonEscape(hint) << "\"";
-    os << "}";
-    return os.str();
+        j.set("hint", hint);
+    return j;
 }
 
 void
@@ -118,18 +94,6 @@ renderText(const std::vector<Diagnostic>& diags)
         out += d.render();
         out += "\n";
     }
-    return out;
-}
-
-std::string
-renderJson(const std::vector<Diagnostic>& diags)
-{
-    std::string out = "[";
-    for (size_t i = 0; i < diags.size(); ++i) {
-        out += i ? ",\n " : "\n ";
-        out += diags[i].renderJson();
-    }
-    out += diags.empty() ? "]" : "\n]";
     return out;
 }
 

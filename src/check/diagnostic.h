@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "support/json.h"
 
 namespace pibe::check {
 
@@ -24,10 +25,6 @@ enum class Severity : uint8_t {
 };
 
 const char* severityName(Severity s);
-
-/** `s` as the body of a JSON string literal (quotes, backslashes and
- *  control characters escaped; no surrounding quotes). */
-std::string jsonEscape(const std::string& s);
 
 /** One finding. */
 struct Diagnostic
@@ -55,8 +52,9 @@ struct Diagnostic
     /** "error[coverage.fwd-missing] sys_read bb2[3] (site 17): ..." */
     std::string render() const;
 
-    /** One JSON object (stable key order, escaped strings). */
-    std::string renderJson() const;
+    /** One JSON object: check, severity, message, plus pass, func,
+     *  func_id, block, inst, site and hint where they apply. */
+    Json toJson() const;
 };
 
 /** Count of diagnostics at exactly `s`. */
@@ -75,9 +73,6 @@ void sortDiagnostics(std::vector<Diagnostic>& diags);
 
 /** Render one diagnostic per line. */
 std::string renderText(const std::vector<Diagnostic>& diags);
-
-/** Render a JSON array of diagnostic objects. */
-std::string renderJson(const std::vector<Diagnostic>& diags);
 
 } // namespace pibe::check
 

@@ -746,47 +746,37 @@ renderSurfaceText(const SurfaceReport& rep)
     return os.str();
 }
 
-std::string
-renderSurfaceJson(const SurfaceReport& rep)
+Json
+toJson(const SurfaceReport& rep)
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"bench\": \"surface\",\n";
-    os << "  \"module\": \"" << jsonEscape(rep.module_name) << "\",\n";
-    os << "  \"functions\": " << rep.functions << ",\n";
-    os << "  \"address_taken\": " << rep.address_taken << ",\n";
-    os << "  \"icall_sites\": " << rep.icall_sites << ",\n";
-    os << "  \"asm_sites\": " << rep.asm_sites << ",\n";
-    os << "  \"complete_sites\": " << rep.complete_sites << ",\n";
-    os << "  \"incomplete_sites\": " << rep.incomplete_sites << ",\n";
-    os << "  \"avg_targets\": " << std::fixed << std::setprecision(3)
-       << rep.avg_targets << ",\n";
-    os << "  \"max_targets\": " << rep.max_targets << ",\n";
-    os << "  \"switchpoline_eligible\": " << rep.switchpoline_eligible
-       << ",\n";
-    os << "  \"set_size_hist\": {";
-    bool first = true;
-    for (const auto& [sz, count] : rep.set_size_hist) {
-        os << (first ? "" : ", ") << "\"" << sz << "\": " << count;
-        first = false;
+    Json hist = Json::object();
+    for (const auto& [sz, count] : rep.set_size_hist)
+        hist.set(std::to_string(sz), count);
+    Json defenses = Json::array();
+    for (const SurfaceDefenseRow& row : rep.defenses) {
+        Json d = Json::object();
+        d.set("defense", row.defense);
+        d.set("protected_icalls", row.protected_icalls);
+        d.set("unprotected_icalls", row.unprotected_icalls);
+        d.set("residual_target_pairs", row.residual_target_pairs);
+        d.set("air", row.air);
+        defenses.push(std::move(d));
     }
-    os << "},\n";
-    os << "  \"defenses\": [\n";
-    for (size_t i = 0; i < rep.defenses.size(); ++i) {
-        const SurfaceDefenseRow& row = rep.defenses[i];
-        os << "    {\"defense\": \"" << row.defense << "\", "
-           << "\"protected_icalls\": " << row.protected_icalls << ", "
-           << "\"unprotected_icalls\": " << row.unprotected_icalls
-           << ", "
-           << "\"residual_target_pairs\": " << row.residual_target_pairs
-           << ", "
-           << "\"air\": " << std::fixed << std::setprecision(6)
-           << row.air << "}"
-           << (i + 1 < rep.defenses.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    return os.str();
+    Json j = Json::object();
+    j.set("bench", "surface");
+    j.set("module", rep.module_name);
+    j.set("functions", rep.functions);
+    j.set("address_taken", rep.address_taken);
+    j.set("icall_sites", rep.icall_sites);
+    j.set("asm_sites", rep.asm_sites);
+    j.set("complete_sites", rep.complete_sites);
+    j.set("incomplete_sites", rep.incomplete_sites);
+    j.set("avg_targets", rep.avg_targets);
+    j.set("max_targets", rep.max_targets);
+    j.set("switchpoline_eligible", rep.switchpoline_eligible);
+    j.set("set_size_hist", std::move(hist));
+    j.set("defenses", std::move(defenses));
+    return j;
 }
 
 } // namespace pibe::check

@@ -57,6 +57,7 @@
 
 #include "ir/module.h"
 #include "opt/icp.h"
+#include "support/json.h"
 
 namespace pibe::check {
 
@@ -292,8 +293,8 @@ SurfaceReport buildSurfaceReport(TargetSetAnalysis& analysis,
 /** Human-readable report (tables). */
 std::string renderSurfaceText(const SurfaceReport& rep);
 
-/** One JSON object (the BENCH_surface.json payload). */
-std::string renderSurfaceJson(const SurfaceReport& rep);
+/** The report as one JSON object (the BENCH_surface.json payload). */
+Json toJson(const SurfaceReport& rep);
 
 } // namespace pibe::check
 

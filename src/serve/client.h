@@ -13,7 +13,7 @@
 #include <optional>
 #include <string>
 
-#include "serve/json.h"
+#include "serve/protocol.h"
 
 namespace pibe::serve {
 

@@ -21,7 +21,7 @@
 #include <optional>
 #include <string>
 
-#include "serve/json.h"
+#include "support/json.h"
 
 namespace pibe::serve {
 

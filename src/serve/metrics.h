@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "runtime/artifact_cache.h"
-#include "serve/json.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/timer.h"
 

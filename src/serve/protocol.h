@@ -24,9 +24,12 @@
 #include <string>
 #include <string_view>
 
-#include "serve/json.h"
+#include "support/json.h"
 
 namespace pibe::serve {
+
+/** The protocol's message type; serve code names it serve::Json. */
+using pibe::Json;
 
 /** Upper bound on one frame's payload (64 MiB). */
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;

@@ -54,8 +54,8 @@
 #include "runtime/thread_pool.h"
 #include "serve/batcher.h"
 #include "serve/control.h"
-#include "serve/json.h"
 #include "serve/metrics.h"
+#include "serve/protocol.h"
 #include "serve/session.h"
 #include "uarch/decoded_module.h"
 

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "serve/json.h"
+#include "support/json.h"
 
 namespace pibe::serve {
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ir/printer.h"
+
 namespace pibe::uarch {
 
 namespace {
@@ -396,6 +398,43 @@ DecodedModule::decodedBytes() const
            switch_cases_.size() * sizeof(SwitchCase) +
            dense_targets_.size() * sizeof(uint32_t) +
            funcs_.size() * sizeof(DecodedFunction);
+}
+
+Json
+decodeStatsJson(
+    const DecodedModule& decoded,
+    const std::array<uint64_t, kNumFusedFamilies>& dynamic_execs)
+{
+    const DecodeStats& ds = decoded.decodeStats();
+    auto name = [](size_t op) {
+        return std::string(ir::opcodeName(static_cast<ir::Opcode>(op)));
+    };
+    Json opcodes = Json::object();
+    Json digrams = Json::object();
+    for (size_t a = 0; a < kNumIrOpcodes; ++a) {
+        if (ds.op_count[a] > 0)
+            opcodes.set(name(a), ds.op_count[a]);
+        for (size_t b = 0; b < kNumIrOpcodes; ++b)
+            if (ds.digram[a][b] > 0)
+                digrams.set(name(a) + "+" + name(b), ds.digram[a][b]);
+    }
+    Json families = Json::array();
+    for (size_t f = 0; f < kNumFusedFamilies; ++f) {
+        Json family = Json::object();
+        family.set("family",
+                   fusedFamilyName(static_cast<FusedFamily>(f)));
+        family.set("static_sites", ds.fused_sites[f]);
+        family.set("dynamic_execs", dynamic_execs[f]);
+        families.push(std::move(family));
+    }
+    Json j = Json::object();
+    j.set("decoded_insts", decoded.code().size());
+    j.set("decoded_bytes", decoded.decodedBytes());
+    j.set("opcodes", std::move(opcodes));
+    j.set("digrams", std::move(digrams));
+    j.set("fused_families", std::move(families));
+    j.set("fused_static_pairs", ds.fused_pairs);
+    return j;
 }
 
 } // namespace pibe::uarch

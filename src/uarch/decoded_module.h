@@ -62,6 +62,7 @@
 
 #include "analysis/layout.h"
 #include "ir/module.h"
+#include "support/json.h"
 
 namespace pibe::uarch {
 
@@ -440,6 +441,23 @@ class DecodedModule
     uint32_t num_js_slots_ = 0;
     DecodeStats decode_stats_;
 };
+
+/**
+ * The decode-stats document, one shape for `pibe measure
+ * --decode-stats-json` and `microbench_interpreter --interpreter-json`:
+ *
+ *   decoded_insts, decoded_bytes   size of the decoded stream
+ *   opcodes            {"<op>": static count}, nonzero opcodes only
+ *   digrams            {"<a>+<b>": static count}, nonzero pairs only
+ *   fused_families     [{"family", "static_sites", "dynamic_execs"}]
+ *   fused_static_pairs total rewritten pairs
+ *
+ * `dynamic_execs` holds the caller's per-family execution counts
+ * (RunStats::fused summed over the runs it measured).
+ */
+Json decodeStatsJson(
+    const DecodedModule& decoded,
+    const std::array<uint64_t, kNumFusedFamilies>& dynamic_execs);
 
 } // namespace pibe::uarch
 

@@ -936,6 +936,44 @@ TEST(Diagnostics, SortIsCanonicalAndDeterministic)
         EXPECT_LE(diags[i - 1].func, diags[i].func);
 }
 
+// Names and messages are data: a quote, a backslash or a control
+// character in any string field must survive toJson -> dump -> parse.
+TEST(Diagnostics, JsonRoundTripsEscapedStrings)
+{
+    Diagnostic d;
+    d.check_id = "lint.dead-store";
+    d.severity = Severity::kWarning;
+    d.pass = "inline";
+    d.func = 3;
+    d.func_name = "f\"q\\b\x01";
+    d.block = 2;
+    d.inst = 5;
+    d.site = 17;
+    d.message = "say \"hi\" \\ then\n\ttab\x1f";
+    d.hint = "h\"\\\r\b";
+    const std::optional<Json> j = Json::parse(d.toJson().dump());
+    ASSERT_TRUE(j.has_value()) << d.toJson().dump();
+    EXPECT_EQ((*j)["check"].asString(), d.check_id);
+    EXPECT_EQ((*j)["severity"].asString(), "warning");
+    EXPECT_EQ((*j)["pass"].asString(), d.pass);
+    EXPECT_EQ((*j)["func"].asString(), d.func_name);
+    EXPECT_EQ((*j)["func_id"].asInt(), 3);
+    EXPECT_EQ((*j)["block"].asInt(), 2);
+    EXPECT_EQ((*j)["inst"].asInt(), 5);
+    EXPECT_EQ((*j)["site"].asInt(), 17);
+    EXPECT_EQ((*j)["message"].asString(), d.message);
+    EXPECT_EQ((*j)["hint"].asString(), d.hint);
+
+    // Module scope: no location fields, no empty pass or hint.
+    Diagnostic m;
+    m.check_id = "coverage.reconcile";
+    m.message = "m";
+    const Json mj = m.toJson();
+    EXPECT_EQ(mj.size(), 3u) << mj.dump(); // check, severity, message
+    EXPECT_FALSE(mj.has("func_id"));
+    EXPECT_FALSE(mj.has("hint"));
+}
+
 // --- streaming cursors vs replay oracles ----------------------------
 
 // The lint sweep runs on forward streaming cursors / per-block fact

@@ -30,7 +30,6 @@
 #include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/control.h"
-#include "serve/json.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -65,55 +64,6 @@ class TempDir
   private:
     fs::path path_;
 };
-
-// ---------------------------------------------------------------------
-// JSON
-
-TEST(ServeJson, ParseDumpRoundTrip)
-{
-    const std::string text =
-        R"({"a":[1,2.5,"x",true,null],"b":{"nested":"\"quoted\""},"n":-7})";
-    std::optional<Json> parsed = Json::parse(text);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ((*parsed)["n"].asInt(), -7);
-    EXPECT_EQ((*parsed)["a"].at(1).asDouble(), 2.5);
-    EXPECT_EQ((*parsed)["a"].at(2).asString(), "x");
-    EXPECT_TRUE((*parsed)["a"].at(3).asBool());
-    EXPECT_TRUE((*parsed)["a"].at(4).isNull());
-    EXPECT_EQ((*parsed)["b"]["nested"].asString(), "\"quoted\"");
-    // Dump is canonical: re-parsing the dump dumps identically.
-    std::optional<Json> again = Json::parse(parsed->dump());
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(again->dump(), parsed->dump());
-}
-
-TEST(ServeJson, RejectsMalformedInput)
-{
-    EXPECT_FALSE(Json::parse("").has_value());
-    EXPECT_FALSE(Json::parse("{").has_value());
-    EXPECT_FALSE(Json::parse("{\"a\":1} trailing").has_value());
-    EXPECT_FALSE(Json::parse("{'single':1}").has_value());
-    EXPECT_FALSE(Json::parse("nul").has_value());
-    // Depth bomb must be rejected, not crash the parser.
-    std::string deep(1000, '[');
-    deep += std::string(1000, ']');
-    EXPECT_FALSE(Json::parse(deep).has_value());
-}
-
-TEST(ServeJson, DoublesAndIntegersRoundTripExactly)
-{
-    const double awkward = 0.56423000000000001;
-    Json obj = Json::object();
-    obj.set("d", awkward);
-    obj.set("i", static_cast<int64_t>(1772326887));
-    std::optional<Json> parsed = Json::parse(obj.dump());
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(std::bit_cast<uint64_t>((*parsed)["d"].asDouble()),
-              std::bit_cast<uint64_t>(awkward));
-    // Integers stay integers (no exponent, no fraction).
-    EXPECT_NE(obj.dump().find("1772326887"), std::string::npos);
-    EXPECT_EQ((*parsed)["i"].asInt(), 1772326887);
-}
 
 // ---------------------------------------------------------------------
 // Protocol framing

@@ -1,8 +1,11 @@
 /** @file Unit tests for src/support (stats, rng, table). */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <optional>
 
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -188,6 +191,84 @@ TEST(Table, SeparatorRows)
          ++pos)
         ++seps;
     EXPECT_EQ(seps, 4u);
+}
+
+
+TEST(Json, ParseDumpRoundTrip)
+{
+    const std::string text =
+        R"({"a":[1,2.5,"x",true,null],"b":{"nested":"\"quoted\""},"n":-7})";
+    std::optional<Json> parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ((*parsed)["n"].asInt(), -7);
+    EXPECT_EQ((*parsed)["a"].at(1).asDouble(), 2.5);
+    EXPECT_EQ((*parsed)["a"].at(2).asString(), "x");
+    EXPECT_TRUE((*parsed)["a"].at(3).asBool());
+    EXPECT_TRUE((*parsed)["a"].at(4).isNull());
+    EXPECT_EQ((*parsed)["b"]["nested"].asString(), "\"quoted\"");
+    // Dump is canonical: re-parsing the dump dumps identically.
+    std::optional<Json> again = Json::parse(parsed->dump());
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->dump(), parsed->dump());
+}
+
+TEST(Json, RejectsMalformedInput)
+{
+    EXPECT_FALSE(Json::parse("").has_value());
+    EXPECT_FALSE(Json::parse("{").has_value());
+    EXPECT_FALSE(Json::parse("{\"a\":1} trailing").has_value());
+    EXPECT_FALSE(Json::parse("{'single':1}").has_value());
+    EXPECT_FALSE(Json::parse("nul").has_value());
+    // Depth bomb must be rejected, not crash the parser.
+    std::string deep(1000, '[');
+    deep += std::string(1000, ']');
+    EXPECT_FALSE(Json::parse(deep).has_value());
+}
+
+TEST(Json, DoublesAndIntegersRoundTripExactly)
+{
+    const double awkward = 0.56423000000000001;
+    Json obj = Json::object();
+    obj.set("d", awkward);
+    obj.set("i", static_cast<int64_t>(1772326887));
+    std::optional<Json> parsed = Json::parse(obj.dump());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(std::bit_cast<uint64_t>((*parsed)["d"].asDouble()),
+              std::bit_cast<uint64_t>(awkward));
+    // Integers stay integers (no exponent, no fraction).
+    EXPECT_NE(obj.dump().find("1772326887"), std::string::npos);
+    EXPECT_EQ((*parsed)["i"].asInt(), 1772326887);
+}
+
+// JSON has no NaN or infinity: dump() writes them as null, so a
+// non-finite measurement cannot make a whole document unparsable.
+TEST(Json, NonFiniteNumbersDumpAsNull)
+{
+    Json obj = Json::object();
+    obj.set("x", std::nan(""));
+    obj.set("y", HUGE_VAL);
+    obj.set("z", -HUGE_VAL);
+    EXPECT_EQ(obj.dump(), R"({"x":null,"y":null,"z":null})");
+    const std::optional<Json> parsed = Json::parse(obj.dump());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE((*parsed)["x"].isNull());
+}
+
+// Doubles print as the shortest text that parses back to the same
+// bits, not as 17 significant digits.
+TEST(Json, DoublesPrintShortestRoundTrip)
+{
+    EXPECT_EQ(Json(0.1).dump(), "0.1");
+    EXPECT_EQ(Json(2.5).dump(), "2.5");
+    EXPECT_EQ(Json(1.0 / 3.0).dump(), "0.3333333333333333");
+    for (const double d : {0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308,
+                           -123.456, 1e21}) {
+        const std::optional<Json> parsed = Json::parse(Json(d).dump());
+        ASSERT_TRUE(parsed.has_value()) << Json(d).dump();
+        EXPECT_EQ(std::bit_cast<uint64_t>(parsed->asDouble()),
+                  std::bit_cast<uint64_t>(d))
+            << Json(d).dump();
+    }
 }
 
 TEST(TableDeath, ArityMismatchPanics)

@@ -433,9 +433,20 @@ TEST(TargetSets, SurfaceReportCountsAndAir)
     for (const auto& row : rep.defenses)
         EXPECT_EQ(row.protected_icalls + row.unprotected_icalls,
                   rep.icall_sites);
-    const std::string json = check::renderSurfaceJson(rep);
-    EXPECT_NE(json.find("\"bench\": \"surface\""), std::string::npos);
-    EXPECT_NE(json.find("\"defenses\""), std::string::npos);
+    const std::optional<Json> json = Json::parse(check::toJson(rep).dump());
+    ASSERT_TRUE(json.has_value());
+    EXPECT_EQ((*json)["bench"].asString(), "surface");
+    EXPECT_EQ((*json)["icall_sites"].asInt(), 1);
+    EXPECT_EQ((*json)["address_taken"].asInt(), 2);
+    EXPECT_EQ((*json)["set_size_hist"]["2"].asInt(), 1);
+    ASSERT_EQ((*json)["defenses"].size(), rep.defenses.size());
+    for (size_t i = 0; i < rep.defenses.size(); ++i) {
+        const Json& row = (*json)["defenses"].at(i);
+        EXPECT_EQ(row["defense"].asString(), rep.defenses[i].defense);
+        EXPECT_EQ(row["protected_icalls"].asInt(),
+                  rep.defenses[i].protected_icalls);
+        EXPECT_EQ(row["air"].asDouble(), rep.defenses[i].air);
+    }
 }
 
 // The module name is a user-supplied path: quotes and backslashes in
@@ -446,10 +457,13 @@ TEST(TargetSets, SurfaceJsonEscapesModuleName)
     TargetSetAnalysis tsa(t.m);
     check::SurfaceReport rep = check::buildSurfaceReport(tsa, 8);
     rep.module_name = "q/a\"b\\c.pir";
-    const std::string json = check::renderSurfaceJson(rep);
-    EXPECT_NE(json.find("\"module\": \"q/a\\\"b\\\\c.pir\","),
+    const std::string text = check::toJson(rep).dump();
+    EXPECT_NE(text.find("\"module\":\"q/a\\\"b\\\\c.pir\""),
               std::string::npos)
-        << json;
+        << text;
+    const std::optional<Json> json = Json::parse(text);
+    ASSERT_TRUE(json.has_value()) << text;
+    EXPECT_EQ((*json)["module"].asString(), rep.module_name);
 }
 
 // genkernel smoke: a 10^5-instruction synthetic kernel's op-table

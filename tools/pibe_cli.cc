@@ -66,7 +66,6 @@
 #include <cstring>
 #include <fstream>
 #include <future>
-#include <iomanip>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -92,9 +91,9 @@
 #include "scale/scale_builder.h"
 #include "scale/synthetic_profile.h"
 #include "serve/client.h"
-#include "serve/json.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
+#include "support/json.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "support/timer.h"
@@ -572,58 +571,9 @@ cmdMeasure(Args& args)
                     ft.render().c_str());
 
         if (!decode_stats_json.empty()) {
-            std::FILE* out = std::fopen(decode_stats_json.c_str(),
-                                        "w");
-            if (!out)
-                PIBE_FATAL("cannot write ", decode_stats_json);
-            std::fprintf(out, "{\n");
-            std::fprintf(out, "  \"decode_ms\": %.3f,\n", decode_ms);
-            std::fprintf(out, "  \"decoded_insts\": %zu,\n",
-                         decoded->code().size());
-            std::fprintf(out, "  \"decoded_bytes\": %zu,\n",
-                         decoded->decodedBytes());
-            std::fprintf(out, "  \"opcodes\": {");
-            bool first = true;
-            for (size_t o = 0; o < uarch::kNumIrOpcodes; ++o) {
-                if (ds.op_count[o] == 0)
-                    continue;
-                std::fprintf(
-                    out, "%s\n    \"%s\": %llu", first ? "" : ",",
-                    ir::opcodeName(static_cast<ir::Opcode>(o)),
-                    static_cast<unsigned long long>(ds.op_count[o]));
-                first = false;
-            }
-            std::fprintf(out, "\n  },\n");
-            std::fprintf(out, "  \"digrams\": {");
-            first = true;
-            for (const Digram& d : digrams) {
-                std::fprintf(
-                    out, "%s\n    \"%s+%s\": %llu", first ? "" : ",",
-                    ir::opcodeName(static_cast<ir::Opcode>(d.a)),
-                    ir::opcodeName(static_cast<ir::Opcode>(d.b)),
-                    static_cast<unsigned long long>(d.n));
-                first = false;
-            }
-            std::fprintf(out, "\n  },\n");
-            std::fprintf(out, "  \"fused_families\": [\n");
-            for (size_t f = 0; f < uarch::kNumFusedFamilies; ++f) {
-                std::fprintf(
-                    out,
-                    "    {\"family\": \"%s\", \"static_sites\": "
-                    "%llu, \"dynamic_execs\": %llu}%s\n",
-                    uarch::fusedFamilyName(
-                        static_cast<uarch::FusedFamily>(f)),
-                    static_cast<unsigned long long>(
-                        ds.fused_sites[f]),
-                    static_cast<unsigned long long>(fused_execs[f]),
-                    f + 1 < uarch::kNumFusedFamilies ? "," : "");
-            }
-            std::fprintf(out, "  ],\n");
-            std::fprintf(out, "  \"fused_static_pairs\": %llu\n",
-                         static_cast<unsigned long long>(
-                             ds.fused_pairs));
-            std::fprintf(out, "}\n");
-            std::fclose(out);
+            Json doc = uarch::decodeStatsJson(*decoded, fused_execs);
+            doc.set("decode_ms", decode_ms);
+            writeFile(decode_stats_json, doc.dump() + "\n");
             std::printf("decode stats json -> %s\n",
                         decode_stats_json.c_str());
         }
@@ -800,44 +750,46 @@ cmdCheck(Args& args)
 
     // --timing: per-phase wall times plus the target-set solver
     // counters, as one JSON object (merged into BENCH_scale.json by
-    // tools/run_all_tables.sh when requested).
-    std::string timing_json;
+    // tools/run_all_tables.sh).
+    Json timing;
     if (args.has("--timing")) {
-        std::ostringstream t;
-        t << "{\"jobs\":" << jobs << ",\"groups\":[";
-        for (size_t i = 0; i < report.group_ms.size(); ++i) {
-            if (i)
-                t << ",";
-            t << "{\"name\":\"" << report.group_ms[i].first
-              << "\",\"ms\":" << std::fixed << std::setprecision(2)
-              << report.group_ms[i].second << "}";
+        Json groups = Json::array();
+        for (const auto& [name, ms] : report.group_ms) {
+            Json g = Json::object();
+            g.set("name", name);
+            g.set("ms", ms);
+            groups.push(std::move(g));
         }
-        t << "]";
+        timing.set("jobs", jobs);
+        timing.set("groups", std::move(groups));
         if (opts.targets) {
             const check::SolverStats& ss =
                 am.targetSets(opts.roots).solverStats();
-            t << ",\"solver\":{\"nodes\":" << ss.nodes
-              << ",\"pops\":" << ss.pops << "}";
+            Json solver = Json::object();
+            solver.set("nodes", ss.nodes);
+            solver.set("pops", ss.pops);
+            timing.set("solver", std::move(solver));
         }
-        t << "}";
-        timing_json = t.str();
     }
 
     if (args.has("--json")) {
-        std::printf("{\"module\":\"%s\",\"errors\":%zu,"
-                    "\"warnings\":%zu,\"notes\":%zu,"
-                    "\"passed\":%s,%s\"diagnostics\":%s}\n",
-                    check::jsonEscape(path).c_str(), report.errors(),
-                    report.warnings(), report.notes(),
-                    passed ? "true" : "false",
-                    timing_json.empty()
-                        ? ""
-                        : ("\"timing\":" + timing_json + ",").c_str(),
-                    check::renderJson(report.diags).c_str());
+        Json diags = Json::array();
+        for (const check::Diagnostic& d : report.diags)
+            diags.push(d.toJson());
+        Json doc = Json::object();
+        doc.set("module", path);
+        doc.set("errors", report.errors());
+        doc.set("warnings", report.warnings());
+        doc.set("notes", report.notes());
+        doc.set("passed", passed);
+        if (!timing.isNull())
+            doc.set("timing", std::move(timing));
+        doc.set("diagnostics", std::move(diags));
+        std::printf("%s\n", doc.dump().c_str());
     } else {
         std::printf("%s", check::renderText(report.diags).c_str());
-        if (!timing_json.empty())
-            std::printf("timing: %s\n", timing_json.c_str());
+        if (!timing.isNull())
+            std::printf("timing: %s\n", timing.dump().c_str());
         std::printf("%s: %zu error(s), %zu warning(s), %zu note(s)\n",
                     path.c_str(), report.errors(), report.warnings(),
                     report.notes());
@@ -897,7 +849,7 @@ cmdSurface(Args& args)
 
     const std::string json_path = args.get("--json");
     if (!json_path.empty()) {
-        writeFile(json_path, check::renderSurfaceJson(rep));
+        writeFile(json_path, check::toJson(rep).dump() + "\n");
         std::printf("wrote %s\n", json_path.c_str());
     }
     return outcome.passed ? 0 : 1;
@@ -1085,31 +1037,29 @@ runScalebenchChild(uint64_t insts, uint64_t seed, size_t jobs, int fd)
         serial.digest == par.digest &&
         check::renderText(serial.checks.diags) ==
             check::renderText(par.checks.diags);
-    dprintf(
-        fd,
-        "{\"target_insts\":%llu,\"insts\":%llu,\"functions\":%llu,"
-        "\"icall_sites\":%llu,"
-        "\"gen_ms\":%.1f,\"profile_ms\":%.1f,"
-        "\"serial_build_ms\":%.1f,\"parallel_build_ms\":%.1f,"
-        "\"speedup\":%.2f,\"probe_ms\":%.1f,\"parallelism\":%.2f,"
-        "\"build_ms\":%.1f,\"check_ms\":%.1f,"
-        "\"parallel_check_ms\":%.1f,"
-        "\"promoted_sites\":%u,\"inlined_sites\":%u,"
-        "\"check_errors\":%llu,"
-        "\"baseline_image_size\":%llu,\"image_size\":%llu,"
-        "\"digest\":\"%s\",\"digests_match\":%s}",
-        static_cast<unsigned long long>(insts),
-        static_cast<unsigned long long>(stats.num_insts),
-        static_cast<unsigned long long>(stats.num_functions),
-        static_cast<unsigned long long>(stats.icall_sites),
-        gen_ms, profile_ms, serial_ms, par_ms,
-        par_ms > 0 ? serial_ms / par_ms : 0.0, probe_ms, parallelism,
-        serial.build_ms, serial.check_ms, par.check_ms,
-        serial.promoted_sites, serial.inlined_sites,
-        static_cast<unsigned long long>(serial.checks.errors()),
-        static_cast<unsigned long long>(serial.baseline_image_size),
-        static_cast<unsigned long long>(serial.image_size),
-        serial.digest.c_str(), match ? "true" : "false");
+    Json row = Json::object();
+    row.set("target_insts", insts);
+    row.set("insts", stats.num_insts);
+    row.set("functions", stats.num_functions);
+    row.set("icall_sites", stats.icall_sites);
+    row.set("gen_ms", gen_ms);
+    row.set("profile_ms", profile_ms);
+    row.set("serial_build_ms", serial_ms);
+    row.set("parallel_build_ms", par_ms);
+    row.set("speedup", par_ms > 0 ? serial_ms / par_ms : 0.0);
+    row.set("probe_ms", probe_ms);
+    row.set("parallelism", parallelism);
+    row.set("build_ms", serial.build_ms);
+    row.set("check_ms", serial.check_ms);
+    row.set("parallel_check_ms", par.check_ms);
+    row.set("promoted_sites", serial.promoted_sites);
+    row.set("inlined_sites", serial.inlined_sites);
+    row.set("check_errors", serial.checks.errors());
+    row.set("baseline_image_size", serial.baseline_image_size);
+    row.set("image_size", serial.image_size);
+    row.set("digest", serial.digest);
+    row.set("digests_match", match);
+    dprintf(fd, "%s", row.dump().c_str());
 }
 
 int
@@ -1130,12 +1080,7 @@ cmdScalebench(Args& args)
     if (sizes.size() < 2)
         PIBE_FATAL("scalebench needs at least two --sizes");
 
-    struct Row
-    {
-        serve::Json json;
-        long maxrss_kb = 0;
-    };
-    std::vector<Row> rows;
+    std::vector<Json> rows;
     bool all_match = true;
     for (uint64_t n : sizes) {
         int fds[2];
@@ -1163,85 +1108,63 @@ cmdScalebench(Args& args)
         if (wait4(pid, &status, 0, &ru) != pid ||
             !WIFEXITED(status) || WEXITSTATUS(status) != 0)
             PIBE_FATAL("scalebench child for ", n, " insts failed");
-        std::optional<serve::Json> json = serve::Json::parse(text);
-        if (!json || !json->isObject())
+        std::optional<Json> row = Json::parse(text);
+        if (!row || !row->isObject())
             PIBE_FATAL("scalebench child emitted bad JSON: ", text);
 
-        Row row;
-        row.json = *json;
-        row.maxrss_kb = ru.ru_maxrss; // Linux reports KiB
-        all_match = all_match && row.json["digests_match"].asBool();
+        row->set("maxrss_kb", ru.ru_maxrss); // Linux reports KiB
+        all_match = all_match && (*row)["digests_match"].asBool();
         std::printf("  %8llu insts: gen %6.0f ms, build %7.0f ms "
                     "(x%.2f with %zu jobs, parallelism %.2f), "
                     "rss %ld MiB, errors %lld, digests %s\n",
                     static_cast<unsigned long long>(n),
-                    row.json["gen_ms"].asDouble(),
-                    row.json["serial_build_ms"].asDouble(),
-                    row.json["speedup"].asDouble(), jobs,
-                    row.json["parallelism"].asDouble(),
-                    row.maxrss_kb / 1024,
-                    static_cast<long long>(
-                        row.json["check_errors"].asInt()),
-                    row.json["digests_match"].asBool() ? "match"
-                                                       : "DIFFER");
-        rows.push_back(std::move(row));
+                    (*row)["gen_ms"].asDouble(),
+                    (*row)["serial_build_ms"].asDouble(),
+                    (*row)["speedup"].asDouble(), jobs,
+                    (*row)["parallelism"].asDouble(),
+                    ru.ru_maxrss / 1024,
+                    static_cast<long long>((*row)["check_errors"].asInt()),
+                    (*row)["digests_match"].asBool() ? "match" : "DIFFER");
+        rows.push_back(std::move(*row));
     }
 
     // Scaling exponents between consecutive sizes: e in t ~ n^e. An
     // exponent meaningfully above 1 flags a superlinear blow-up.
     double max_time_exp = 0;
     double max_rss_exp = 0;
-    std::vector<double> time_exps(rows.size(), 0);
-    std::vector<double> rss_exps(rows.size(), 0);
-    for (size_t i = 1; i < rows.size(); ++i) {
-        const double n_ratio =
-            rows[i].json["insts"].asDouble() /
-            std::max(1.0, rows[i - 1].json["insts"].asDouble());
-        if (n_ratio <= 1)
-            continue;
-        const double t_ratio =
-            rows[i].json["serial_build_ms"].asDouble() /
-            std::max(1.0,
-                     rows[i - 1].json["serial_build_ms"].asDouble());
-        const double r_ratio =
-            static_cast<double>(rows[i].maxrss_kb) /
-            std::max(1.0, static_cast<double>(rows[i - 1].maxrss_kb));
-        time_exps[i] = std::log(std::max(t_ratio, 1e-9)) /
-                       std::log(n_ratio);
-        rss_exps[i] = std::log(std::max(r_ratio, 1e-9)) /
-                      std::log(n_ratio);
-        max_time_exp = std::max(max_time_exp, time_exps[i]);
-        max_rss_exp = std::max(max_rss_exp, rss_exps[i]);
+    Json sizes_json = Json::array();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        double time_exp = 0;
+        double rss_exp = 0;
+        auto ratio = [&](const char* key) {
+            return rows[i][key].asDouble() /
+                   std::max(1.0, rows[i - 1][key].asDouble());
+        };
+        if (i > 0 && ratio("insts") > 1) {
+            const double log_n = std::log(ratio("insts"));
+            time_exp =
+                std::log(std::max(ratio("serial_build_ms"), 1e-9)) /
+                log_n;
+            rss_exp = std::log(std::max(ratio("maxrss_kb"), 1e-9)) /
+                      log_n;
+            max_time_exp = std::max(max_time_exp, time_exp);
+            max_rss_exp = std::max(max_rss_exp, rss_exp);
+        }
+        rows[i].set("time_scaling_exponent", time_exp);
+        rows[i].set("rss_scaling_exponent", rss_exp);
+        sizes_json.push(rows[i]);
     }
 
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f)
-        PIBE_FATAL("cannot write ", out);
-    std::fprintf(f,
-                 "{\n  \"bench\": \"scale\",\n  \"seed\": %llu,\n"
-                 "  \"jobs\": %zu,\n  \"nproc\": %u,\n"
-                 "  \"all_digests_match\": %s,\n"
-                 "  \"max_time_scaling_exponent\": %.2f,\n"
-                 "  \"max_rss_scaling_exponent\": %.2f,\n"
-                 "  \"sizes\": [\n",
-                 static_cast<unsigned long long>(seed), jobs,
-                 std::thread::hardware_concurrency(),
-                 all_match ? "true" : "false", max_time_exp, max_rss_exp);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        serve::Json j = rows[i].json;
-        std::string dumped = j.dump();
-        // Graft the parent-side measurements into the child's object:
-        // strip the closing brace and append.
-        dumped.pop_back();
-        std::fprintf(f,
-                     "    %s,\"maxrss_kb\":%ld,"
-                     "\"time_scaling_exponent\":%.2f,"
-                     "\"rss_scaling_exponent\":%.2f}%s\n",
-                     dumped.c_str(), rows[i].maxrss_kb, time_exps[i],
-                     rss_exps[i], i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    Json doc = Json::object();
+    doc.set("bench", "scale");
+    doc.set("seed", seed);
+    doc.set("jobs", jobs);
+    doc.set("nproc", std::thread::hardware_concurrency());
+    doc.set("all_digests_match", all_match);
+    doc.set("max_time_scaling_exponent", max_time_exp);
+    doc.set("max_rss_scaling_exponent", max_rss_exp);
+    doc.set("sizes", std::move(sizes_json));
+    writeFile(out, doc.dump() + "\n");
 
     std::printf("wrote %s (max time exponent %.2f, max rss exponent "
                 "%.2f, digests %s)\n",
@@ -1321,11 +1244,11 @@ int
 cmdClient(Args& args)
 {
     const std::string op = args.get("--op", "ping");
-    serve::Json params = serve::Json::object();
+    Json params = Json::object();
     const std::string params_text = args.get("--params");
     if (!params_text.empty()) {
-        std::optional<serve::Json> parsed =
-            serve::Json::parse(params_text);
+        std::optional<Json> parsed =
+            Json::parse(params_text);
         if (!parsed || !parsed->isObject())
             PIBE_FATAL("--params is not a JSON object: ", params_text);
         params = *parsed;
@@ -1351,7 +1274,7 @@ cmdClient(Args& args)
             PIBE_FATAL("authentication failed: ", auth_error);
     }
 
-    std::optional<serve::Json> response = client.call(op, params);
+    std::optional<Json> response = client.call(op, params);
     if (!response)
         PIBE_FATAL("transport failure talking to the daemon");
     const std::string save = args.get("--save-text");

@@ -22,19 +22,24 @@
 #
 # Usage: tools/run_all_tables.sh [BUILD_DIR] [OUT_JSON] [INTERP_JSON] [SERVE_JSON] [SCALE_JSON] [SURFACE_JSON]
 #   BUILD_DIR   cmake build tree holding the bench binaries (default: build)
-#   OUT_JSON    output metrics file (default: BENCH_tables.json)
-#   INTERP_JSON interpreter microbench output (default: BENCH_interpreter.json)
-#   SERVE_JSON  serve loadgen output (default: BENCH_serve.json)
-#   SCALE_JSON  scalebench output (default: BENCH_scale.json)
-#   SURFACE_JSON surface report output (default: BENCH_surface.json)
+#   OUT_JSON    output metrics file (default: BUILD_DIR/BENCH_tables.json)
+#   INTERP_JSON interpreter microbench output (default: BUILD_DIR/BENCH_interpreter.json)
+#   SERVE_JSON  serve loadgen output (default: BUILD_DIR/BENCH_serve.json)
+#   SCALE_JSON  scalebench output (default: BUILD_DIR/BENCH_scale.json)
+#   SURFACE_JSON surface report output (default: BUILD_DIR/BENCH_surface.json)
+#
+# Every output defaults into the build tree, so a run leaves the
+# checked-in BENCH_*.json files untouched, among them the interpreter
+# and scale baselines tools/check_perf_baseline.sh gates against. Name
+# a path to refresh one: `tools/run_all_tables.sh build BENCH_tables.json`.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-OUT_JSON="${2:-BENCH_tables.json}"
-INTERP_JSON="${3:-BENCH_interpreter.json}"
-SERVE_JSON="${4:-BENCH_serve.json}"
-SCALE_JSON="${5:-BENCH_scale.json}"
-SURFACE_JSON="${6:-BENCH_surface.json}"
+OUT_JSON="${2:-$BUILD_DIR/BENCH_tables.json}"
+INTERP_JSON="${3:-$BUILD_DIR/BENCH_interpreter.json}"
+SERVE_JSON="${4:-$BUILD_DIR/BENCH_serve.json}"
+SCALE_JSON="${5:-$BUILD_DIR/BENCH_scale.json}"
+SURFACE_JSON="${6:-$BUILD_DIR/BENCH_surface.json}"
 JOBS="$(nproc)"
 TABLES=(table5_all_defenses table6_per_defense table3_retpolines
         table7_macrobenchmarks)
@@ -119,20 +124,6 @@ echo "== parallel check timing (pibe check --jobs --timing) =="
 "$BUILD_DIR/tools/pibe" check -m "$WORK/check-scale.pir" \
     -p "$WORK/check-scale.prof" --jobs "$JOBS" --timing --json \
     > "$WORK/check-timing.json"
-# Graft the checker timing breakdown into the scale artifact so one
-# file carries the whole pipeline's perf curves.
-python3 - "$SCALE_JSON" "$WORK/check-timing.json" <<'EOF'
-import json, sys
-scale_path, timing_path = sys.argv[1], sys.argv[2]
-with open(scale_path) as f:
-    doc = json.load(f)
-with open(timing_path) as f:
-    doc["check_timing"] = json.load(f).get("timing", {})
-with open(scale_path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-EOF
-
 echo "== residual-attack-surface report (pibe surface) =="
 "$BUILD_DIR/tools/pibe" kernel -o "$WORK/surface-kernel.pir" --drivers 64
 "$BUILD_DIR/tools/pibe" profile -m "$WORK/surface-kernel.pir" \
@@ -140,41 +131,55 @@ echo "== residual-attack-surface report (pibe surface) =="
 "$BUILD_DIR/tools/pibe" surface -m "$WORK/surface-kernel.pir" \
     -p "$WORK/surface-prof.txt" --json "$SURFACE_JSON" --fail-on warn
 
-# Provenance stamp: every BENCH_*.json records where its numbers came
-# from, so checked-in baselines are auditable.
+# Graft the checker timing breakdown into the scale artifact so one
+# file carries the whole pipeline's perf curves, then write OUT_JSON:
+# a provenance stamp (so checked-in baselines are auditable), the
+# suite's wall times and every artifact above.
 GIT_SHA=$(git -C "$(dirname "$0")/.." rev-parse --short HEAD \
     2>/dev/null || echo unknown)
 CPU_MODEL=$(awk -F': ' '/model name/ { print $2; exit }' \
     /proc/cpuinfo 2>/dev/null || echo unknown)
 CXX_ID=$("${CXX:-c++}" --version 2>/dev/null | head -1 || echo unknown)
-STAMP_UTC=$(date -u +%Y-%m-%dT%H:%M:%SZ)
+python3 - "$OUT_JSON" "$WORK" "$SERVE_JSON" "$SCALE_JSON" \
+    "$SURFACE_JSON" "$GIT_SHA" "$CXX_ID" "$CPU_MODEL" "$JOBS" \
+    "$serial_ms" "$parallel_ms" "$speedup" "${TABLES[@]}" <<'EOF'
+import json, sys, time
 
-{
-    echo "{"
-    echo "  \"provenance\": {"
-    echo "    \"git_sha\": \"$GIT_SHA\","
-    echo "    \"compiler\": \"$CXX_ID\","
-    echo "    \"cpu\": \"$CPU_MODEL\","
-    echo "    \"timestamp_utc\": \"$STAMP_UTC\""
-    echo "  },"
-    echo "  \"jobs\": $JOBS,"
-    echo "  \"serial_wall_s\": $(awk -v ms="$serial_ms" \
-        'BEGIN { printf "%.3f", ms / 1000 }'),"
-    echo "  \"parallel_wall_s\": $(awk -v ms="$parallel_ms" \
-        'BEGIN { printf "%.3f", ms / 1000 }'),"
-    echo "  \"speedup\": $speedup,"
-    echo "  \"output_identical\": true,"
-    echo "  \"serve\": $(cat "$SERVE_JSON"),"
-    echo "  \"scale\": $(cat "$SCALE_JSON"),"
-    echo "  \"surface\": $(cat "$SURFACE_JSON"),"
-    echo "  \"tables\": ["
-    sep=""
-    for t in "${TABLES[@]}"; do
-        printf '%s    %s' "$sep" "$(cat "$WORK/$t.metrics.json")"
-        sep=$',\n'
-    done
-    printf '\n  ]\n}\n'
-} > "$OUT_JSON"
+(out_path, work, serve_path, scale_path, surface_path, git_sha, cxx_id,
+ cpu, jobs, serial_ms, parallel_ms, speedup, *tables) = sys.argv[1:]
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+def dump(doc, path):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+scale = load(scale_path)
+scale["check_timing"] = load(f"{work}/check-timing.json").get("timing", {})
+dump(scale, scale_path)
+
+dump({
+    "provenance": {
+        "git_sha": git_sha,
+        "compiler": cxx_id,
+        "cpu": cpu,
+        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                       time.gmtime()),
+    },
+    "jobs": int(jobs),
+    "serial_wall_s": int(serial_ms) / 1000,
+    "parallel_wall_s": int(parallel_ms) / 1000,
+    "speedup": float(speedup),
+    "output_identical": True,
+    "serve": load(serve_path),
+    "scale": scale,
+    "surface": load(surface_path),
+    "tables": [load(f"{work}/{t}.metrics.json") for t in tables],
+}, out_path)
+EOF
 
 echo "== done =="
 echo "serial:   ${serial_ms} ms"
